@@ -10,6 +10,7 @@ profiler.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import os
 import re
@@ -31,20 +32,13 @@ GUARD_ENV_VAR = "CARTESIAN_TOPK_GUARD"
 _TOKEN = re.compile(r"[^\s,]+")
 
 
-def _runner(name: str) -> Callable:
-    return _RUNNERS[name]
-
-
-def _run_fast(arrays, k, alpha, stats):
-    return fast_soft_tree_select(arrays, k, alpha, stats=stats)
-
-
 _RUNNERS: dict[str, Callable] = {
     "soft-tensor": lambda arrays, k, alpha, stats: soft_tensor_select(arrays, k, stats=stats),
     "soft-tree": lambda arrays, k, alpha, stats: soft_tree_select(arrays, k, stats=stats),
     "sort-tensor": lambda arrays, k, alpha, stats: sort_tensor_select(arrays, k, stats=stats),
     "sort-tree": lambda arrays, k, alpha, stats: sort_tree_select(arrays, k, stats=stats),
-    "fast-soft-tree": _run_fast,
+    "fast-soft-tree": lambda arrays, k, alpha, stats: fast_soft_tree_select(
+        arrays, k, alpha, stats=stats),
 }
 
 
@@ -181,7 +175,7 @@ def run(config: BenchConfig) -> BenchReport:
             if algorithm == "brute-force":
                 result = brute_force_select(arrays, config.k, guard=config.guard)
             else:
-                result = _runner(algorithm)(arrays, config.k, config.alpha, stats)
+                result = _RUNNERS[algorithm](arrays, config.k, config.alpha, stats)
             wall = time.perf_counter_ns() - start
 
             if config.validate and not validating:
@@ -237,18 +231,7 @@ def _format_cell(value) -> str:
     return "" if value is None else str(value)
 
 
-def write_csv(report: BenchReport, path: str) -> None:
-    header = csv_header(report.max_level)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in report.rows:
-            writer.writerow([_format_cell(row.get(col)) for col in header])
-
-
 def render_csv(report: BenchReport) -> str:
-    import io
-
     header = csv_header(report.max_level)
     buf = io.StringIO()
     writer = csv.writer(buf)

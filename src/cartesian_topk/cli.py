@@ -1,7 +1,7 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 1 usage error, 2 input parse error, 3 oracle
-validation failure.
+Exit codes: 0 success, 1 usage error or unwritable output, 2 input parse
+error or unreadable input file, 3 oracle validation failure.
 """
 
 from __future__ import annotations
@@ -9,8 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .bench import (ALGORITHMS, BenchConfig, render_csv, run, write_csv,
-                    write_gnuplot_script)
+from .bench import ALGORITHMS, BenchConfig, render_csv, run, write_gnuplot_script
 from .errors import ContractViolation, GuardError, InputParseError, ParameterError
 
 EXIT_OK = 0
@@ -67,7 +66,6 @@ def main(argv: list[str] | None = None) -> int:
             distribution=ns.distribution, input_file=ns.input_file, seed=ns.seed,
             replicates=ns.replicates, validate=ns.validate, stats=ns.stats,
             output=ns.output)
-        config.check()
     except (_UsageError, ParameterError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -77,14 +75,24 @@ def main(argv: list[str] | None = None) -> int:
     except InputParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except OSError as exc:  # only --input-file is read
+        print(f"input error: {config.input_file}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_PARSE
     except (ParameterError, ContractViolation, GuardError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
     if config.output:
-        write_csv(report, config.output)
-        if ns.emit_gnuplot:
-            write_gnuplot_script(ns.emit_gnuplot, config.output)
+        path = config.output
+        try:
+            with open(path, "w", newline="", encoding="utf-8") as fh:
+                fh.write(render_csv(report))
+            if ns.emit_gnuplot:
+                path = ns.emit_gnuplot
+                write_gnuplot_script(path, config.output)
+        except OSError as exc:
+            print(f"output error: {path}: {exc.strerror or exc}", file=sys.stderr)
+            return EXIT_USAGE
     else:
         sys.stdout.write(render_csv(report))
 

@@ -24,13 +24,12 @@ from typing import Sequence
 from .errors import ContractViolation
 from .loh import LayerSchedule, LohGenerator, children_of, layer_schedule
 from .select1d import select_k, split_smallest
-from .soft_heap import SoftHeap
+from .soft_heap import SoftHeap, pop_and_pool
 
 DEFAULT_EPSILON = 0.25
 
 
 def soft_select_pairwise(a: Sequence[float], b: Sequence[float], k: int,
-                         epsilon: float = DEFAULT_EPSILON,
                          stats=None) -> list:
     """Exact k smallest values of the Cartesian sum A + B.
 
@@ -50,28 +49,25 @@ def soft_select_pairwise(a: Sequence[float], b: Sequence[float], k: int,
     heapq.heapify(heap_b)
     na, nb = len(heap_a), len(heap_b)
 
-    soft = SoftHeap(epsilon)
+    soft = SoftHeap(DEFAULT_EPSILON)
     soft.insert(heap_a[0] + heap_b[0], (1, 1))
+
+    def propose(e) -> None:
+        i, j = e.payload
+        if j == 1:
+            for ci in (2 * i, 2 * i + 1):
+                if ci <= na:
+                    soft.insert(heap_a[ci - 1] + heap_b[0], (ci, 1))
+            for cj in (2, 3):
+                if cj <= nb:
+                    soft.insert(heap_a[i - 1] + heap_b[cj - 1], (i, cj))
+        else:
+            for cj in (2 * j, 2 * j + 1):
+                if cj <= nb:
+                    soft.insert(heap_a[i - 1] + heap_b[cj - 1], (i, cj))
+
     pool: list = []
-    for _ in range(k):
-        entry, fresh = soft.extract_min()
-        batch = fresh
-        if not entry.corrupted:
-            batch = fresh + [entry]
-        for e in batch:
-            i, j = e.payload
-            pool.append(e.original_key)
-            if j == 1:
-                for ci in (2 * i, 2 * i + 1):
-                    if ci <= na:
-                        soft.insert(heap_a[ci - 1] + heap_b[0], (ci, 1))
-                for cj in (2, 3):
-                    if cj <= nb:
-                        soft.insert(heap_a[i - 1] + heap_b[cj - 1], (i, cj))
-            else:
-                for cj in (2 * j, 2 * j + 1):
-                    if cj <= nb:
-                        soft.insert(heap_a[i - 1] + heap_b[cj - 1], (i, cj))
+    pop_and_pool(soft, k, pool, propose)
     if stats is not None:
         stats.values_generated += soft.insert_count
         stats.corrupted_count += soft.corrupted_count
@@ -145,26 +141,25 @@ class PairSumNode(LohGenerator):
     soft-heap rebuild so corruption never accumulates across layers.
     """
 
-    __slots__ = ("left", "right", "alpha", "epsilon", "values", "_layer_sizes",
+    __slots__ = ("left", "right", "alpha", "values", "_layer_sizes",
                  "_layer_max", "_total", "_schedule", "_soft", "purgatory_a",
                  "purgatory_b", "purgatory_ab", "carryover", "_left_min",
-                 "_right_min", "_seen_a", "_seen_b", "inserts_total",
-                 "corrupted_total", "pops_total", "fringe_peak",
+                 "_right_min", "_seen_a", "_seen_b",
+                 "soft_heap_corrupted", "pops_total", "soft_heap_peak",
                  "proposed_total", "processed_total", "live_in_heap",
                  "_debug_cells")
 
     def __init__(self, left: LohGenerator, right: LohGenerator, alpha: float,
-                 epsilon: float = DEFAULT_EPSILON, debug_accounting: bool = False):
+                 debug_accounting: bool = False):
         self.left = left
         self.right = right
         self.alpha = alpha
-        self.epsilon = epsilon
         self._total = left.total_size * right.total_size
         self._schedule = layer_schedule(alpha, self._total)
         self.values: list = []
         self._layer_sizes: list[int] = []
         self._layer_max: list[float] = []
-        self._soft = SoftHeap(epsilon)
+        self._soft = SoftHeap(DEFAULT_EPSILON)
         self.purgatory_a: list[tuple[int, int]] = []
         self.purgatory_b: list[tuple[int, int]] = []
         self.purgatory_ab: list[tuple[int, int]] = []
@@ -173,10 +168,11 @@ class PairSumNode(LohGenerator):
         self._right_min = right.min_value()
         self._seen_a = left.generated_count
         self._seen_b = right.generated_count
-        self.inserts_total = 0
-        self.corrupted_total = 0
+        # Totals over every soft-heap epoch; complete between layers, since
+        # each layer ends with a rebuild that folds the old heap in.
+        self.soft_heap_corrupted = 0
         self.pops_total = 0
-        self.fringe_peak = 0
+        self.soft_heap_peak = 0
         self.proposed_total = 0
         self.processed_total = 0
         self.live_in_heap = 0
@@ -204,30 +200,7 @@ class PairSumNode(LohGenerator):
 
         pool = self.carryover
         self.carryover = []
-        pops = 0
-        soft = self._soft
-        while pops < layer_size and soft.size > 0:
-            entry, fresh = soft.extract_min()
-            batch = fresh
-            if not entry.corrupted:
-                batch = fresh + [entry]
-            for e in batch:
-                pool.append(e.original_key)
-                cell = e.payload
-                e.payload = None  # processed: children proposed, value pooled
-                self.processed_total += 1
-                self.live_in_heap -= 1
-                ia, ib = cell
-                if ib == 1:
-                    for ca in self._loh_children(self.left, ia):
-                        self._propose(ca, 1)
-                    for cb in self._loh_children(self.right, 1):
-                        self._propose(ia, cb)
-                else:
-                    for cb in self._loh_children(self.right, ib):
-                        self._propose(ia, cb)
-            pops += 1
-        self.pops_total += pops
+        self.pops_total += pop_and_pool(self._soft, layer_size, pool, self._settle)
 
         selected, leftover = split_smallest(pool, layer_size)
         self.values.extend(selected)
@@ -272,14 +245,27 @@ class PairSumNode(LohGenerator):
 
     # -- internals -------------------------------------------------------------
 
+    def _settle(self, e) -> None:
+        ia, ib = e.payload
+        e.payload = None  # processed: children proposed, value pooled
+        self.processed_total += 1
+        self.live_in_heap -= 1
+        if ib == 1:
+            for ca in self._loh_children(self.left, ia):
+                self._propose(ca, 1)
+            for cb in self._loh_children(self.right, 1):
+                self._propose(ia, cb)
+        else:
+            for cb in self._loh_children(self.right, ib):
+                self._propose(ia, cb)
+
     def _rebuild_soft_heap(self) -> None:
         old = self._soft
-        self.inserts_total += old.insert_count
-        self.corrupted_total += old.corrupted_count
-        if old.peak_size > self.fringe_peak:
-            self.fringe_peak = old.peak_size
+        self.soft_heap_corrupted += old.corrupted_count
+        if old.peak_size > self.soft_heap_peak:
+            self.soft_heap_peak = old.peak_size
         survivors = old.drain()
-        soft = SoftHeap(self.epsilon)
+        soft = SoftHeap(DEFAULT_EPSILON)
         for e in survivors:
             if e.payload is not None:
                 soft.insert(e.original_key, e.payload)
@@ -302,7 +288,8 @@ class PairSumNode(LohGenerator):
     def _propose(self, ia: int, ib: int) -> None:
         # First (and only) proposal of a pair; the scheme is duplicate-free.
         if self._debug_cells is not None:
-            assert (ia, ib) not in self._debug_cells, f"pair {(ia, ib)} proposed twice"
+            if (ia, ib) in self._debug_cells:
+                raise AssertionError(f"pair {(ia, ib)} proposed twice")
             self._debug_cells.add((ia, ib))
         self.proposed_total += 1
         self._admit(ia, ib)
@@ -344,17 +331,3 @@ class PairSumNode(LohGenerator):
 
     def parked_count(self) -> int:
         return len(self.purgatory_a) + len(self.purgatory_b) + len(self.purgatory_ab)
-
-    # Counters below fold the live heap's epoch into the accumulated totals.
-
-    @property
-    def soft_heap_inserts(self) -> int:
-        return self.inserts_total + self._soft.insert_count
-
-    @property
-    def soft_heap_corrupted(self) -> int:
-        return self.corrupted_total + self._soft.corrupted_count
-
-    @property
-    def soft_heap_peak(self) -> int:
-        return max(self.fringe_peak, self._soft.peak_size)

@@ -26,9 +26,9 @@ import numpy as np
 
 from .errors import ContractViolation, GuardError, ParameterError
 from .loh import LeafGenerator, LohGenerator
-from .pairwise import DEFAULT_EPSILON, PairSumNode, soft_select_pairwise
+from .pairwise import PairSumNode, soft_select_pairwise
 from .select1d import require_finite, select_k
-from .soft_heap import SoftHeap
+from .soft_heap import SoftHeap, pop_and_pool
 
 DEFAULT_GUARD = 10_000_000
 
@@ -190,19 +190,17 @@ def soft_tensor_select(arrays: Sequence[Sequence[float]], k: int, *,
     soft = SoftHeap(1.0 / (3 * m))
     seen = {(1,) * m} if debug_checks else None
     soft.insert(value_of((1,) * m), (1,) * m)
+
+    def propose(e) -> None:
+        for child in _tensor_children(e.payload, dims):
+            if seen is not None:
+                if child in seen:
+                    raise AssertionError(f"tuple {child} proposed twice")
+                seen.add(child)
+            soft.insert(value_of(child), child)
+
     pool: list = []
-    for _ in range(k):
-        entry, fresh = soft.extract_min()
-        batch = fresh
-        if not entry.corrupted:
-            batch = fresh + [entry]
-        for e in batch:
-            pool.append(e.original_key)
-            for child in _tensor_children(e.payload, dims):
-                if seen is not None:
-                    assert child not in seen, f"tuple {child} proposed twice"
-                    seen.add(child)
-                soft.insert(value_of(child), child)
+    pop_and_pool(soft, k, pool, propose)
     if stats is not None:
         stats.values_generated += soft.insert_count
         stats.corrupted_count += soft.corrupted_count
@@ -245,90 +243,8 @@ def soft_tree_select(arrays: Sequence[Sequence[float]], k: int, *,
 # Sorted enumeration over the m-dimensional tensor
 # ---------------------------------------------------------------------------
 
-class _SortedPrefix:
-    """Ascending prefix of one axis, realized on demand from a heap."""
-
-    __slots__ = ("heap", "prefix")
-
-    def __init__(self, arr: list):
-        self.heap = list(arr)
-        heapq.heapify(self.heap)
-        self.prefix: list = []
-
-    def ensure(self, count: int) -> None:
-        while len(self.prefix) < count:
-            self.prefix.append(heapq.heappop(self.heap))
-
-
-def sort_tensor_select(arrays: Sequence[Sequence[float]], k: int, *,
-                       stats: RunStats | None = None) -> SelectionResult:
-    """k smallest sums in ascending order, with index tuples.
-
-    A fringe of candidate index tuples grows from (1, ..., 1); each pop
-    appends the m successor tuples not already enqueued.  Indices address
-    the ascending order of each axis.
-    """
-    mats, _ = _validated(arrays, k)
-    m = len(mats)
-    axes = [_SortedPrefix(a) for a in mats]
-    dims = [len(a) for a in mats]
-    for ax in axes:
-        ax.ensure(1)
-
-    root = (1,) * m
-    fringe: list[tuple[float, tuple[int, ...]]] = [(_balanced_sum([ax.prefix[0] for ax in axes]), root)]
-    enqueued = {root}
-    peak = 1
-    pushes = 1
-    values: list[float] = []
-    indices: list[tuple[int, ...]] = []
-    for _ in range(k):
-        val, idx = heapq.heappop(fringe)
-        values.append(val)
-        indices.append(idx)
-        for t in range(m):
-            step = idx[t] + 1
-            if step > dims[t]:
-                continue
-            nxt = idx[:t] + (step,) + idx[t + 1:]
-            if nxt in enqueued:
-                continue
-            enqueued.add(nxt)
-            axes[t].ensure(step)
-            heapq.heappush(fringe, (_balanced_sum([axes[u].prefix[nxt[u] - 1] for u in range(m)]), nxt))
-            pushes += 1
-        if len(fringe) > peak:
-            peak = len(fringe)
-    if stats is not None:
-        stats.values_generated += pushes
-        stats.fringe_peak = max(stats.fringe_peak, peak)
-    return SelectionResult(values=values, sorted=True, indices=indices)
-
-
-# ---------------------------------------------------------------------------
-# Balanced tree of two-way sorted enumerations
-# ---------------------------------------------------------------------------
-
-class _FringeGauge:
-    __slots__ = ("current", "peak", "inserts")
-
-    def __init__(self):
-        self.current = 0
-        self.peak = 0
-        self.inserts = 0
-
-    def push(self):
-        self.current += 1
-        self.inserts += 1
-        if self.current > self.peak:
-            self.peak = self.current
-
-    def pop(self):
-        self.current -= 1
-
-
 class _SortLeaf:
-    """Sorted stream over one input array."""
+    """Sorted stream over one input array: a sort-tensor axis or a sort-tree leaf."""
 
     __slots__ = ("heap", "realized", "total")
 
@@ -352,6 +268,69 @@ class _SortLeaf:
 
     def index_of(self, t: int) -> tuple[int, ...]:
         return (t,)
+
+
+def sort_tensor_select(arrays: Sequence[Sequence[float]], k: int, *,
+                       stats: RunStats | None = None) -> SelectionResult:
+    """k smallest sums in ascending order, with index tuples.
+
+    A fringe of candidate index tuples grows from (1, ..., 1); each pop
+    appends the m successor tuples not already enqueued.  Indices address
+    the ascending order of each axis.
+    """
+    mats, _ = _validated(arrays, k)
+    m = len(mats)
+    axes = [_SortLeaf(a) for a in mats]
+
+    root = (1,) * m
+    fringe: list[tuple[float, tuple[int, ...]]] = [(_balanced_sum([ax.pop_next() for ax in axes]), root)]
+    enqueued = {root}
+    peak = 1
+    pushes = 1
+    values: list[float] = []
+    indices: list[tuple[int, ...]] = []
+    for _ in range(k):
+        val, idx = heapq.heappop(fringe)
+        values.append(val)
+        indices.append(idx)
+        for t in range(m):
+            step = idx[t] + 1
+            if step > axes[t].total:
+                continue
+            nxt = idx[:t] + (step,) + idx[t + 1:]
+            if nxt in enqueued:
+                continue
+            enqueued.add(nxt)
+            if step > len(axes[t].realized):
+                axes[t].pop_next()
+            heapq.heappush(fringe, (_balanced_sum([axes[u].realized[nxt[u] - 1] for u in range(m)]), nxt))
+            pushes += 1
+        if len(fringe) > peak:
+            peak = len(fringe)
+    if stats is not None:
+        stats.values_generated += pushes
+        stats.fringe_peak = max(stats.fringe_peak, peak)
+    return SelectionResult(values=values, sorted=True, indices=indices)
+
+
+# ---------------------------------------------------------------------------
+# Balanced tree of two-way sorted enumerations
+# ---------------------------------------------------------------------------
+
+class _FringeGauge:
+    __slots__ = ("current", "peak")
+
+    def __init__(self):
+        self.current = 0
+        self.peak = 0
+
+    def push(self):
+        self.current += 1
+        if self.current > self.peak:
+            self.peak = self.current
+
+    def pop(self):
+        self.current -= 1
 
 
 class _SortMerge:
@@ -404,8 +383,8 @@ class _SortMerge:
             self.enqueued.add((ni, nj))
             heapq.heappush(self.fringe, (self.a[ni - 1] + self.b[nj - 1], ni, nj))
             self.gauge.push()
-        assert len(self.history) == 1 or advances <= 1, \
-            "both margins advanced after the first pop"
+        if advances > 1 and len(self.history) > 1:
+            raise AssertionError("both margins advanced after the first pop")
         return val
 
     def index_of(self, t: int) -> tuple[int, ...]:
@@ -446,9 +425,7 @@ def sort_tree_select(arrays: Sequence[Sequence[float]], k: int,
 # ---------------------------------------------------------------------------
 
 def fast_soft_tree_select(arrays: Sequence[Sequence[float]], k: int, alpha: float, *,
-                          epsilon: float = DEFAULT_EPSILON,
-                          stats: RunStats | None = None,
-                          debug_accounting: bool = False) -> SelectionResult:
+                          stats: RunStats | None = None) -> SelectionResult:
     """k smallest sums via a tree of layer-ordered pair-sum generators.
 
     Leaves are layer-ordered up front; internal nodes generate their sum
@@ -468,8 +445,7 @@ def fast_soft_tree_select(arrays: Sequence[Sequence[float]], k: int, alpha: floa
             mid = lo + _left_size(hi - lo)
             left = build(lo, mid, depth + 1)
             right = build(mid, hi, depth + 1)
-            node = PairSumNode(left, right, alpha, epsilon=epsilon,
-                               debug_accounting=debug_accounting)
+            node = PairSumNode(left, right, alpha)
         levels.setdefault(depth, []).append(node)
         return node
 
@@ -483,10 +459,8 @@ def fast_soft_tree_select(arrays: Sequence[Sequence[float]], k: int, alpha: floa
             pair_nodes = [n for n in nodes if isinstance(n, PairSumNode)]
             if pair_nodes:
                 stats.pops_per_level[depth] = sum(n.pops_total for n in pair_nodes) / len(pair_nodes)
+            for n in pair_nodes:
+                stats.corrupted_count += n.soft_heap_corrupted
+                stats.fringe_peak = max(stats.fringe_peak, n.soft_heap_peak)
         stats.values_generated += sum(stats.generated_per_level.values())
-        for nodes in levels.values():
-            for n in nodes:
-                if isinstance(n, PairSumNode):
-                    stats.corrupted_count += n.soft_heap_corrupted
-                    stats.fringe_peak = max(stats.fringe_peak, n.soft_heap_peak)
     return SelectionResult(values=select_k(prefix, k), sorted=False)

@@ -16,7 +16,7 @@ reported through its return value.  Keys are never lowered.
 from __future__ import annotations
 
 import math
-from typing import Any
+from typing import Any, Callable
 
 from .errors import ContractViolation, ParameterError
 
@@ -193,3 +193,26 @@ class SoftHeap:
             x.right = None
         else:
             self._fill(left, fresh)
+
+
+def pop_and_pool(soft: SoftHeap, pops: int, pool: list,
+                 propose: Callable[[SoftHeapEntry], None]) -> int:
+    """Extract up to ``pops`` times, settling every entry each extraction frees.
+
+    An entry settles exactly once: when it is first reported corrupted, or
+    when it is extracted uncorrupted.  Settling appends its original key to
+    ``pool`` and calls ``propose(entry)``, which inserts its children.  The
+    newly corrupted entries of an extraction settle before the extracted
+    one, which fixes the insertion order.  Stops early once the heap is
+    empty; returns the number of extractions.
+    """
+    done = 0
+    while done < pops and soft.size > 0:
+        entry, fresh = soft.extract_min()
+        if not entry.corrupted:
+            fresh.append(entry)
+        for e in fresh:
+            pool.append(e.original_key)
+            propose(e)
+        done += 1
+    return done

@@ -228,3 +228,25 @@ def test_cli_gnuplot_script(tmp_path):
                  "--output", str(out), "--emit-gnuplot", str(script)])
     assert code == 0
     assert str(out) in script.read_text()
+
+
+def test_cli_unreadable_input_file(tmp_path, capsys):
+    missing = tmp_path / "missing.txt"
+    code = main(["--distribution", "file", "--input-file", str(missing), "--k", "1"])
+    assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and str(missing) in err[0]
+
+
+def test_cli_unwritable_output(tmp_path, capsys):
+    args = ["--algorithm", "sort-tree", "--m", "2", "--n", "4", "--k", "3"]
+    bad_csv = tmp_path / "no" / "rows.csv"
+    assert main(args + ["--output", str(bad_csv)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and str(bad_csv) in err[0]
+
+    bad_script = tmp_path / "no" / "plot.gp"
+    code = main(args + ["--output", str(tmp_path / "rows.csv"), "--emit-gnuplot", str(bad_script)])
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and str(bad_script) in err[0]

@@ -298,3 +298,158 @@ def test_fast_stats_levels():
     assert set(stats.generated_per_level) == {0, 1, 2, 3}
     assert stats.generated_per_level[0] >= 30
     assert stats.values_generated == sum(stats.generated_per_level.values())
+
+
+# -- golden counters -----------------------------------------------------------
+# Every counter below was recorded from the selectors as they stood before the
+# three soft-heap sites shared one settle loop.  A refactor that keeps the
+# soft-heap insertion order and the tree shapes keeps them all, so any change
+# here means the work done changed, not just the code.
+
+def _golden_inputs():
+    from cartesian_topk.bench import generate_inputs
+    rng = random.Random(5)
+    ties = [[float(rng.randint(0, 3)) for _ in range(10)] for _ in range(5)]
+    return {
+        "uniform": (generate_inputs("uniform", 4, 12, 3), 40),
+        "exponential": (generate_inputs("exponential", 3, 16, 4), 50),
+        "ties": (ties, 60),
+    }
+
+
+_GOLDEN_RUNNERS = {
+    "soft-tensor": lambda a, k, s: soft_tensor_select(a, k, stats=s),
+    "soft-tree": lambda a, k, s: soft_tree_select(a, k, stats=s),
+    "sort-tensor": lambda a, k, s: sort_tensor_select(a, k, stats=s),
+    "sort-tree": lambda a, k, s: sort_tree_select(a, k, stats=s),
+    "fast-soft-tree": lambda a, k, s: fast_soft_tree_select(a, k, 1.1, stats=s),
+}
+
+# (pops_per_level, generated_per_level, values_generated, corrupted_count, fringe_peak)
+_GOLDEN_STATS = {
+    ("uniform", "soft-tensor"): ({}, {}, 159, 2, 119),
+    ("uniform", "soft-tree"): ({}, {}, 434, 18, 75),
+    ("uniform", "sort-tensor"): ({}, {}, 107, 0, 68),
+    ("uniform", "sort-tree"): ({0: 40.0, 1: 11.5, 2: 5.5}, {}, 85, 0, 30),
+    ("uniform", "fast-soft-tree"): ({0: 41.0, 1: 22.5}, {0: 41, 1: 45, 2: 41}, 127, 1, 17),
+    ("exponential", "soft-tensor"): ({}, {}, 127, 1, 77),
+    ("exponential", "soft-tree"): ({}, {}, 367, 14, 77),
+    ("exponential", "sort-tensor"): ({}, {}, 94, 0, 44),
+    ("exponential", "sort-tree"): ({0: 50.0, 1: 10.0, 2: 6.5}, {}, 83, 0, 24),
+    ("exponential", "fast-soft-tree"): ({0: 51.0, 1: 51.0}, {0: 51, 1: 60, 2: 32}, 143, 3, 16),
+    ("ties", "soft-tensor"): ({}, {}, 216, 0, 156),
+    ("ties", "soft-tree"): ({}, {}, 734, 1, 87),
+    ("ties", "sort-tensor"): ({}, {}, 221, 0, 161),
+    ("ties", "sort-tree"): ({0: 60.0, 1: 12.0, 2: 4.75, 3: 3.0}, {}, 109, 0, 37),
+    ("ties", "fast-soft-tree"): ({0: 63.0, 1: 32.5, 2: 41.0},
+                                 {0: 63, 1: 65, 2: 71, 3: 20}, 219, 0, 20),
+}
+
+
+@pytest.mark.parametrize("case,name", sorted(_GOLDEN_STATS))
+def test_golden_run_stats(case, name):
+    arrays, k = _golden_inputs()[case]
+    stats = RunStats()
+    result = _GOLDEN_RUNNERS[name](arrays, k, stats)
+    assert sorted(result.values) == brute_force_select(arrays, k).values
+    got = (stats.pops_per_level, stats.generated_per_level, stats.values_generated,
+           stats.corrupted_count, stats.fringe_peak)
+    assert got == _GOLDEN_STATS[case, name]
+
+
+# (proposed_total, processed_total, pops_total, parked_count()) once the node
+# over the first two arrays holds k values
+_GOLDEN_NODE = {
+    "uniform": (52, 41, 41, 0),
+    "exponential": (62, 51, 51, 0),
+    "ties": (72, 63, 63, 0),
+}
+
+# the same counters after each layer on inputs whose two sides differ in
+# scale, so pairs park in purgatory and soft-heap corruption shows up
+_GOLDEN_NODE_ASYMMETRIC = [
+    (5, 2, 2, 1), (7, 3, 3, 1), (9, 4, 4, 1), (11, 5, 5, 1), (14, 6, 6, 2),
+    (18, 8, 8, 0), (22, 10, 10, 0), (27, 12, 12, 0), (33, 15, 15, 0),
+    (40, 18, 18, 0), (49, 22, 22, 0), (63, 28, 27, 2), (78, 35, 33, 3),
+    (93, 43, 40, 3), (102, 52, 48, 2), (112, 62, 58, 0), (125, 75, 70, 0),
+    (142, 92, 84, 0), (160, 110, 101, 0), (182, 132, 122, 0),
+    (200, 158, 147, 0), (200, 188, 177, 0), (200, 200, 189, 0),
+]
+
+
+def _node_counters(node):
+    return (node.proposed_total, node.processed_total, node.pops_total,
+            node.parked_count())
+
+
+def test_golden_pair_sum_node_counters():
+    from cartesian_topk import LeafGenerator, PairSumNode
+    for case, (arrays, k) in _golden_inputs().items():
+        node = PairSumNode(LeafGenerator(arrays[0], 1.1), LeafGenerator(arrays[1], 1.1), 1.1)
+        while node.generated_count < k:
+            node.generate_next_layer()
+        assert _node_counters(node) == _GOLDEN_NODE[case], case
+
+    a = [i / 100.0 for i in range(50)]
+    b = [100.0 + 10.0 * j for j in range(4)]
+    node = PairSumNode(LeafGenerator(a, 1.2), LeafGenerator(b, 1.2), 1.2)
+    trace = []
+    while node.has_more_layers():
+        node.generate_next_layer()
+        trace.append(_node_counters(node))
+    assert trace == _GOLDEN_NODE_ASYMMETRIC
+
+
+# -- invariant checks under python -O -------------------------------------------
+
+_TAMPERED_CHECKS = """
+import cartesian_topk.selectors as sel
+from cartesian_topk import LeafGenerator, PairSumNode
+
+
+def raises(fn):
+    try:
+        fn()
+    except AssertionError:
+        return True
+    return False
+
+
+def merge_advances_both_margins():
+    leaves = [sel._SortLeaf([1.0, 2.0, 3.0, 4.0]) for _ in range(2)]
+    node = sel._SortMerge(leaves[0], leaves[1], sel._FringeGauge())
+    node.pop_next()
+    node.fringe = [(-1.0, 2, 2)]  # (2, 2) next: both (3, 2) and (2, 3) need a new value
+    node.enqueued.add((2, 2))
+    node.pop_next()
+
+
+def tensor_proposes_twice():
+    sel._tensor_children = lambda idx, dims: [(2, 1), (2, 1)] if idx == (1, 1) else []
+    sel.soft_tensor_select([[1.0, 2.0], [1.0]], 2, debug_checks=True)
+
+
+def node_proposes_twice():
+    node = PairSumNode(LeafGenerator([1.0, 2.0], 1.5), LeafGenerator([1.0, 2.0], 1.5), 1.5,
+                       debug_accounting=True)
+    node._propose(1, 1)
+
+
+print(__debug__, raises(merge_advances_both_margins), raises(tensor_proposes_twice),
+      raises(node_proposes_twice))
+"""
+
+
+def test_invariant_checks_survive_optimize():
+    # -O strips assert statements; these checks must raise anyway
+    import os
+    import subprocess
+    import sys
+
+    import cartesian_topk
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cartesian_topk.__file__)))
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run([sys.executable, "-O", "-c", _TAMPERED_CHECKS], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert proc.stdout.split() == ["False", "True", "True", "True"]
