@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 
 from .bench import ALGORITHMS, BenchConfig, render_csv, run, write_gnuplot_script
 from .errors import ContractViolation, GuardError, InputParseError, ParameterError
@@ -70,31 +71,29 @@ def main(argv: list[str] | None = None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
+    # Every output is opened before the run, so a bad path costs no run time.
+    path = config.output
     try:
-        report = run(config)
-    except InputParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except OSError as exc:  # only --input-file is read
-        print(f"input error: {config.input_file}: {exc.strerror or exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (ParameterError, ContractViolation, GuardError) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
-    if config.output:
-        path = config.output
-        try:
-            with open(path, "w", newline="", encoding="utf-8") as fh:
-                fh.write(render_csv(report))
+        with open(path, "w", newline="", encoding="utf-8") if path else nullcontext(sys.stdout) as out:
             if ns.emit_gnuplot:
                 path = ns.emit_gnuplot
                 write_gnuplot_script(path, config.output)
-        except OSError as exc:
-            print(f"output error: {path}: {exc.strerror or exc}", file=sys.stderr)
-            return EXIT_USAGE
-    else:
-        sys.stdout.write(render_csv(report))
+                path = config.output
+            try:
+                report = run(config)
+            except InputParseError as exc:
+                print(f"parse error: {exc}", file=sys.stderr)
+                return EXIT_PARSE
+            except OSError as exc:  # only --input-file is read
+                print(f"input error: {config.input_file}: {exc.strerror or exc}", file=sys.stderr)
+                return EXIT_PARSE
+            except (ParameterError, ContractViolation, GuardError) as exc:
+                print(f"usage error: {exc}", file=sys.stderr)
+                return EXIT_USAGE
+            out.write(render_csv(report))
+    except OSError as exc:
+        print(f"output error: {path or 'stdout'}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_USAGE
 
     if report.violations:
         for line in report.violations:

@@ -5,14 +5,16 @@ L1, L2, ... with max(L_i) <= min(L_{i+1}); intra-layer order is
 arbitrary and consecutive layer sizes approach the ratio alpha.
 This module provides the layer-size schedule, linear-time construction
 by repeated partitioning (``lohify``), the structural verifier, the
-parent/child offset arithmetic between adjacent layers, and the
-generator interface used by consumers that stream layers on demand.
+parent/child offset arithmetic between adjacent layers, and
+``LohGenerator``, the one base of every generator that streams layers
+on demand: it keeps the generated values, layer count and running
+maxima, and answers every query about them, while ``LeafGenerator``
+and ``pairwise.PairSumNode`` only say how the next layer is made.
 """
 
 from __future__ import annotations
 
 import math
-from abc import ABC, abstractmethod
 from bisect import bisect_left
 from typing import Sequence
 
@@ -26,7 +28,9 @@ class LayerSchedule:
     Totals follow T1 = 1, T_{i+1} = max(T_i + 1, ceil(alpha * T_i)), so
     T2 = 2, full-layer sizes never shrink, never more than double, and
     their ratio tends to alpha.  Only the final layer may be truncated
-    (it absorbs whatever remains of n).
+    (it absorbs whatever remains of n).  Totals are computed on demand,
+    only as far as a layer or position asked about, so ``n`` may be far
+    beyond what a float can hold.
     """
 
     __slots__ = ("alpha", "n", "_totals")
@@ -38,15 +42,19 @@ class LayerSchedule:
             raise ContractViolation(f"n must be positive, got {n}")
         self.alpha = alpha
         self.n = n
-        totals = [1]
-        while totals[-1] < n:
-            t = totals[-1]
-            totals.append(max(t + 1, math.ceil(alpha * t)))
-        self._totals = totals
+        self._totals = [1]
 
     @property
     def num_layers(self) -> int:
+        """Number of layers; computes every total."""
+        self._extend(self.n)
         return len(self._totals)
+
+    def has_layer(self, i: int) -> bool:
+        """True iff layer i exists; computes totals through layer i at most."""
+        if i > len(self._totals):
+            self._extend(i)
+        return 1 <= i <= len(self._totals)
 
     def total(self, i: int) -> int:
         """Cumulative item count through layer i, truncated to n."""
@@ -69,13 +77,23 @@ class LayerSchedule:
         """Map a 1-based flat position to (layer index, 1-based offset)."""
         if pos < 1 or pos > self.n:
             raise ContractViolation(f"position {pos} outside [1, {self.n}]")
+        if self._totals[-1] < pos:
+            self._extend(0, pos)
         i = bisect_left(self._totals, pos)
         prev = self._totals[i - 1] if i > 0 else 0
         return i + 1, pos - prev
 
     def _check_layer(self, i: int) -> None:
-        if i < 1 or i > len(self._totals):
-            raise ContractViolation(f"layer {i} outside [1, {len(self._totals)}]")
+        if (i < 1 or i > len(self._totals)) and not self.has_layer(i):
+            raise ContractViolation(f"layer {i} does not exist for n={self.n}")
+
+    def _extend(self, i: int, pos: int = 0) -> None:
+        # Append totals until layer i and position pos are covered, or all of n.
+        totals = self._totals
+        t = totals[-1]
+        while (len(totals) < i or t < pos) and t < self.n:
+            t = max(t + 1, math.ceil(self.alpha * t))
+            totals.append(t)
 
 
 def layer_schedule(alpha: float, n: int) -> LayerSchedule:
@@ -92,7 +110,7 @@ def children_of(schedule: LayerSchedule, i: int, j: int) -> tuple[int, ...]:
     images are disjoint and cover 1..c' exactly.  Callers reading a
     truncated final layer must bounds-check the returned offsets.
     """
-    if i < 1 or i + 1 > schedule.num_layers:
+    if i < 1 or not schedule.has_layer(i + 1):
         raise ContractViolation(f"layer {i + 1} does not exist in the schedule")
     c = schedule.full_size(i)
     c_next = schedule.full_size(i + 1)
@@ -172,50 +190,65 @@ def verify_loh(heap: LayerOrderedHeap) -> bool:
     return pos == len(heap.values)
 
 
-class LohGenerator(ABC):
+class LohGenerator:
     """A source of layer-ordered values produced one whole layer at a time.
 
-    Layers come smallest-first and are immutable once generated, so
-    ``max_generated`` never decreases.  ``generate_next_layer`` is a
-    no-op once every layer exists.
+    ``values`` holds the generated layers flat, smallest layer first (a
+    subclass may keep values it has not generated yet after them), and
+    ``schedule`` alone fixes every layer's size.  A subclass supplies only
+    how a layer is made: its constructor and ``generate_next_layer`` place
+    the next layer's values at
+    ``values[generated_count:schedule.total(layer_count + 1)]`` and call
+    ``_close_layer``.  The constructor makes the first layer, and
+    ``generate_next_layer`` does nothing once ``has_more_layers()`` is
+    false.  Layers are immutable once generated, so ``max_generated``
+    never decreases.
     """
 
-    @abstractmethod
-    def has_more_layers(self) -> bool: ...
+    __slots__ = ("values", "schedule", "layer_count", "generated_count", "_maxima")
 
-    @abstractmethod
-    def generate_next_layer(self) -> None: ...
+    def __init__(self, values: list, schedule: LayerSchedule):
+        self.values = values
+        self.schedule = schedule
+        self.layer_count = 0
+        self.generated_count = 0
+        self._maxima: list = []  # running maximum through each layer
+
+    def generate_next_layer(self) -> None:
+        raise NotImplementedError
+
+    def _close_layer(self) -> None:
+        """Record the next layer, whose values the subclass has just placed."""
+        self.layer_count += 1
+        self.generated_count = self.schedule.total(self.layer_count)
+        top = max(self.layer(self.layer_count))
+        if self._maxima and self._maxima[-1] > top:
+            top = self._maxima[-1]
+        self._maxima.append(top)
+
+    def has_more_layers(self) -> bool:
+        return self.generated_count < self.schedule.n
+
+    def layer(self, i: int) -> list:
+        """The values of generated layer i (copy; intra-layer order is arbitrary)."""
+        if i < 1 or i > self.layer_count:
+            raise ContractViolation(f"layer {i} not generated yet")
+        start = self.schedule.total(i - 1) if i > 1 else 0
+        return self.values[start:self.schedule.total(i)]
+
+    def max_generated(self) -> float:
+        return self._maxima[-1]
+
+    def size_of_last_layer(self) -> int:
+        return self.schedule.size(self.layer_count)
 
     @property
-    @abstractmethod
-    def layer_count(self) -> int: ...
+    def total_size(self) -> int:
+        return self.schedule.n
 
-    @abstractmethod
-    def layer(self, i: int) -> list: ...
-
-    @abstractmethod
-    def max_generated(self) -> float: ...
-
-    @abstractmethod
-    def size_of_last_layer(self) -> int: ...
-
-    # Extensions used by pairwise consumers.
-
-    @property
-    @abstractmethod
-    def total_size(self) -> int: ...
-
-    @property
-    @abstractmethod
-    def generated_count(self) -> int: ...
-
-    @abstractmethod
     def value_at(self, pos: int) -> float:
         """Value at a 1-based flat position within the generated prefix."""
-
-    @property
-    @abstractmethod
-    def schedule(self) -> LayerSchedule: ...
+        return self.values[pos - 1]
 
     def min_value(self) -> float:
         return self.value_at(1)
@@ -229,52 +262,13 @@ class LeafGenerator(LohGenerator):
     immediately.
     """
 
-    __slots__ = ("_heap", "_exposed", "_layer_maxima")
+    __slots__ = ()
 
     def __init__(self, values: Sequence[float], alpha: float):
-        self._heap = lohify(values, alpha)
-        maxima = []
-        running = None
-        for i in range(1, self._heap.num_layers + 1):
-            m = max(self._heap.layer(i))
-            running = m if running is None else max(running, m)
-            maxima.append(running)
-        self._layer_maxima = maxima
-        self._exposed = 1
-
-    def has_more_layers(self) -> bool:
-        return self._exposed < self._heap.num_layers
+        heap = lohify(values, alpha)
+        super().__init__(heap.values, heap.schedule)
+        self._close_layer()
 
     def generate_next_layer(self) -> None:
-        if self._exposed < self._heap.num_layers:
-            self._exposed += 1
-
-    @property
-    def layer_count(self) -> int:
-        return self._exposed
-
-    def layer(self, i: int) -> list:
-        if i < 1 or i > self._exposed:
-            raise ContractViolation(f"layer {i} not generated yet")
-        return self._heap.layer(i)
-
-    def max_generated(self) -> float:
-        return self._layer_maxima[self._exposed - 1]
-
-    def size_of_last_layer(self) -> int:
-        return self._heap.schedule.size(self._exposed)
-
-    @property
-    def total_size(self) -> int:
-        return self._heap.schedule.n
-
-    @property
-    def generated_count(self) -> int:
-        return self._heap.schedule.total(self._exposed)
-
-    def value_at(self, pos: int) -> float:
-        return self._heap.values[pos - 1]
-
-    @property
-    def schedule(self) -> LayerSchedule:
-        return self._heap.schedule
+        if self.has_more_layers():
+            self._close_layer()

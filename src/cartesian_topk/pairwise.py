@@ -22,7 +22,7 @@ import heapq
 from typing import Sequence
 
 from .errors import ContractViolation
-from .loh import LayerSchedule, LohGenerator, children_of, layer_schedule
+from .loh import LohGenerator, children_of, layer_schedule
 from .select1d import select_k, split_smallest
 from .soft_heap import SoftHeap, pop_and_pool
 
@@ -141,24 +141,17 @@ class PairSumNode(LohGenerator):
     soft-heap rebuild so corruption never accumulates across layers.
     """
 
-    __slots__ = ("left", "right", "alpha", "values", "_layer_sizes",
-                 "_layer_max", "_total", "_schedule", "_soft", "purgatory_a",
-                 "purgatory_b", "purgatory_ab", "carryover", "_left_min",
-                 "_right_min", "_seen_a", "_seen_b",
-                 "soft_heap_corrupted", "pops_total", "soft_heap_peak",
-                 "proposed_total", "processed_total", "live_in_heap",
-                 "_debug_cells")
+    __slots__ = ("left", "right", "_soft", "purgatory_a", "purgatory_b",
+                 "purgatory_ab", "carryover", "_left_min", "_right_min",
+                 "_seen_a", "_seen_b", "soft_heap_corrupted", "pops_total",
+                 "soft_heap_peak", "proposed_total", "processed_total",
+                 "live_in_heap", "_debug_cells")
 
     def __init__(self, left: LohGenerator, right: LohGenerator, alpha: float,
                  debug_accounting: bool = False):
+        super().__init__([], layer_schedule(alpha, left.total_size * right.total_size))
         self.left = left
         self.right = right
-        self.alpha = alpha
-        self._total = left.total_size * right.total_size
-        self._schedule = layer_schedule(alpha, self._total)
-        self.values: list = []
-        self._layer_sizes: list[int] = []
-        self._layer_max: list[float] = []
         self._soft = SoftHeap(DEFAULT_EPSILON)
         self.purgatory_a: list[tuple[int, int]] = []
         self.purgatory_b: list[tuple[int, int]] = []
@@ -180,17 +173,11 @@ class PairSumNode(LohGenerator):
         self._propose(1, 1)
         self.generate_next_layer()
 
-    # -- generator interface -------------------------------------------------
-
-    def has_more_layers(self) -> bool:
-        return len(self.values) < self._total
-
     def generate_next_layer(self) -> None:
         if not self.has_more_layers():
             return
-        layer_index = len(self._layer_sizes) + 1
-        target_cumulative = self._schedule.total(layer_index)
-        layer_size = target_cumulative - len(self.values)
+        target_cumulative = self.schedule.total(self.layer_count + 1)
+        layer_size = target_cumulative - self.generated_count
 
         # Child prefixes must cover a (k'+1)-selection on A|B, compared on
         # a common zero point, for the k'-selection on A+B to be realizable.
@@ -202,46 +189,10 @@ class PairSumNode(LohGenerator):
         self.carryover = []
         self.pops_total += pop_and_pool(self._soft, layer_size, pool, self._settle)
 
-        selected, leftover = split_smallest(pool, layer_size)
+        selected, self.carryover = split_smallest(pool, layer_size)
         self.values.extend(selected)
-        self._layer_sizes.append(layer_size)
-        top = max(selected)
-        if self._layer_max and self._layer_max[-1] > top:
-            top = self._layer_max[-1]
-        self._layer_max.append(top)
-        self.carryover = leftover
+        self._close_layer()
         self._rebuild_soft_heap()
-
-    @property
-    def layer_count(self) -> int:
-        return len(self._layer_sizes)
-
-    def layer(self, i: int) -> list:
-        if i < 1 or i > len(self._layer_sizes):
-            raise ContractViolation(f"layer {i} not generated yet")
-        start = sum(self._layer_sizes[:i - 1])
-        return self.values[start:start + self._layer_sizes[i - 1]]
-
-    def max_generated(self) -> float:
-        return self._layer_max[-1]
-
-    def size_of_last_layer(self) -> int:
-        return self._layer_sizes[-1]
-
-    @property
-    def total_size(self) -> int:
-        return self._total
-
-    @property
-    def generated_count(self) -> int:
-        return len(self.values)
-
-    def value_at(self, pos: int) -> float:
-        return self.values[pos - 1]
-
-    @property
-    def schedule(self) -> LayerSchedule:
-        return self._schedule
 
     # -- internals -------------------------------------------------------------
 
@@ -275,13 +226,13 @@ class PairSumNode(LohGenerator):
     def _loh_children(gen: LohGenerator, pos: int) -> list[int]:
         sched = gen.schedule
         layer, offset = sched.layer_of(pos)
-        if layer + 1 > sched.num_layers:
+        if not sched.has_layer(layer + 1):
             return []
         base = sched.total(layer)
         out = []
         for child_offset in children_of(sched, layer, offset):
             child = base + child_offset
-            if child <= gen.total_size:  # truncated final layer
+            if child <= sched.n:  # truncated final layer
                 out.append(child)
         return out
 

@@ -179,13 +179,12 @@ def soft_tensor_select(arrays: Sequence[Sequence[float]], k: int, *,
     """k smallest sums via one soft heap over m-dimensional index tuples."""
     mats, _ = _validated(arrays, k)
     m = len(mats)
-    heaps = [list(a) for a in mats]
-    for h in heaps:
+    for h in mats:  # _validated's fresh copies, so the caller's lists stay untouched
         heapq.heapify(h)
-    dims = [len(h) for h in heaps]
+    dims = [len(h) for h in mats]
 
     def value_of(idx: tuple[int, ...]) -> float:
-        return _balanced_sum([heaps[t][idx[t] - 1] for t in range(m)])
+        return _balanced_sum([mats[t][idx[t] - 1] for t in range(m)])
 
     soft = SoftHeap(1.0 / (3 * m))
     seen = {(1,) * m} if debug_checks else None
@@ -452,7 +451,7 @@ def fast_soft_tree_select(arrays: Sequence[Sequence[float]], k: int, alpha: floa
     root = build(0, len(mats), 0)
     while root.generated_count < k:
         root.generate_next_layer()
-    prefix = [root.value_at(i) for i in range(1, root.generated_count + 1)]
+    prefix = root.values[:root.generated_count]
     if stats is not None:
         for depth, nodes in levels.items():
             stats.generated_per_level[depth] = sum(n.generated_count for n in nodes)

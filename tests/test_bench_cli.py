@@ -250,3 +250,25 @@ def test_cli_unwritable_output(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and str(bad_script) in err[0]
+
+
+@pytest.mark.parametrize("bad", ["output", "script"])
+def test_cli_outputs_opened_before_run(tmp_path, capsys, monkeypatch, bad):
+    def no_run(config):
+        raise AssertionError("run() started with an unwritable output")
+    monkeypatch.setattr("cartesian_topk.cli.run", no_run)
+    csv = tmp_path / ("no" if bad == "output" else "") / "rows.csv"
+    script = tmp_path / ("no" if bad == "script" else "") / "plot.gp"
+    code = main(["--algorithm", "sort-tree", "--m", "2", "--n", "4", "--k", "3",
+                 "--output", str(csv), "--emit-gnuplot", str(script)])
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and str(csv if bad == "output" else script) in err[0]
+
+
+def test_cli_fast_soft_tree_beyond_float_range(capsys):
+    # 64^256 cells once overflowed the eager layer schedule with a traceback
+    assert main(["--algorithm", "fast-soft-tree", "--m", "256", "--n", "64", "--k", "8"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.count("\n") == 2  # header + one row

@@ -3,9 +3,9 @@ from collections import Counter
 
 import pytest
 
-from cartesian_topk import (ContractViolation, LayerOrderedHeap, LeafGenerator,
-                            ParameterError, children_of, layer_schedule, lohify,
-                            verify_loh)
+from cartesian_topk import (ContractViolation, LayerOrderedHeap, LayerSchedule,
+                            LeafGenerator, PairSumNode, ParameterError, children_of,
+                            layer_schedule, lohify, verify_loh)
 
 ALPHA_GRID = (1.05, 1.1, 1.3, 1.5, 1.9)
 
@@ -170,23 +170,57 @@ def test_prefix_layers_match_selection():
         assert sorted(h.values[:t]) == expected[:t]
 
 
-def test_leaf_generator_streams_layers():
+def _leaf_case():
     rng = random.Random(24)
     vals = [rng.random() for _ in range(300)]
-    gen = LeafGenerator(vals, 1.5)
+    return LeafGenerator(vals, 1.5), vals
+
+
+def _pair_sum_case():
+    rng = random.Random(25)
+    a = [rng.random() for _ in range(20)]
+    b = [rng.random() for _ in range(15)]
+    gen = PairSumNode(LeafGenerator(a, 1.5), LeafGenerator(b, 1.5), 1.5)
+    return gen, [x + y for x in a for y in b]
+
+
+@pytest.mark.parametrize("make", [_leaf_case, _pair_sum_case], ids=["leaf", "pair-sum-node"])
+def test_leaf_generator_streams_layers(make):
+    # the contract of the shared generator base, on both kinds of generator
+    gen, vals = make()
     assert gen.layer_count == 1
     assert gen.generated_count == 1
     assert gen.min_value() == min(vals)
     running = []
     while True:
         running.extend(gen.layer(gen.layer_count))
+        assert gen.generated_count == len(running)
         assert gen.max_generated() == max(running)
         assert gen.size_of_last_layer() == len(gen.layer(gen.layer_count))
+        assert gen.size_of_last_layer() == gen.schedule.size(gen.layer_count)
         if not gen.has_more_layers():
             break
         prev_max = gen.max_generated()
         gen.generate_next_layer()
         assert gen.max_generated() >= prev_max
     assert Counter(running) == Counter(vals)
+    layers = gen.layer_count
     gen.generate_next_layer()  # exhausted: no-op
-    assert gen.generated_count == len(vals)
+    assert gen.generated_count == gen.total_size == len(vals)
+    assert gen.layer_count == layers
+    with pytest.raises(ContractViolation):
+        gen.layer(layers + 1)
+
+
+def test_schedule_totals_on_demand():
+    # a product of sizes far beyond float range: only the totals asked for
+    # are computed, with the same recurrence as a small schedule
+    huge = LayerSchedule(1.1, 2**2000)
+    small = layer_schedule(1.1, 10**6)
+    assert huge.total(40) == small.total(40)
+    assert huge.size(40) == small.size(40)
+    assert huge.layer_of(small.total(40)) == small.layer_of(small.total(40))
+    assert children_of(huge, 40, 1) == children_of(small, 40, 1)
+    assert huge.has_layer(41) and not huge.has_layer(0)
+    with pytest.raises(ContractViolation):
+        huge.total(0)

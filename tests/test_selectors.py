@@ -203,6 +203,26 @@ def test_agreement_deep_m_cross_checked():
     assert sorted(fast_soft_tree_select(arrays, 200, 1.05).values) == expected
 
 
+def test_fast_beyond_float_range():
+    # 64^256 tensor cells: node schedules must not compute totals past float range
+    rng = np.random.Generator(np.random.PCG64(14))
+    arrays = [row.tolist() for row in rng.random((256, 64))]
+    expected = sort_tree_select(arrays, 1024).values
+    assert sorted(fast_soft_tree_select(arrays, 1024, 1.1).values) == expected
+
+
+@pytest.mark.parametrize("name", ["brute-force"] + [name for name, _ in SELECTORS])
+def test_inputs_left_unchanged(name):
+    rng = np.random.Generator(np.random.PCG64(15))
+    lists = [row.tolist() for row in rng.integers(0, 4, (3, 6)).astype(np.float64)]
+    ndarrays = [np.array(row) for row in lists]
+    run = dict(SELECTORS).get(name, lambda arrays, k: brute_force_select(arrays, k).values)
+    for arrays in (lists, ndarrays):
+        before = [list(a) for a in arrays]
+        run(arrays, 20)
+        assert [list(a) for a in arrays] == before
+
+
 def test_fast_leaf_level_generation_bound():
     # leaves produce at most ~alpha^(2 log2 m) * k values in total
     bound = 1.5 * (1.1 ** (2 * math.log2(8))) * 128
