@@ -10,10 +10,13 @@ parent/child offset arithmetic between adjacent layers, and
 on demand: it keeps the generated values, layer count and running
 maxima, and answers every query about them, while ``LeafGenerator``
 and ``pairwise.PairSumNode`` only say how the next layer is made.
+A leaf pops each layer off a binary heap when asked for it, so input
+values that no layer reaches are never ordered.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from bisect import bisect_left
 from typing import Sequence
@@ -193,12 +196,11 @@ def verify_loh(heap: LayerOrderedHeap) -> bool:
 class LohGenerator:
     """A source of layer-ordered values produced one whole layer at a time.
 
-    ``values`` holds the generated layers flat, smallest layer first (a
-    subclass may keep values it has not generated yet after them), and
-    ``schedule`` alone fixes every layer's size.  A subclass supplies only
-    how a layer is made: its constructor and ``generate_next_layer`` place
-    the next layer's values at
-    ``values[generated_count:schedule.total(layer_count + 1)]`` and call
+    ``values`` holds exactly the generated layers flat, smallest layer
+    first, and ``schedule`` alone fixes every layer's size.  A subclass
+    supplies only how a layer is made: its constructor and
+    ``generate_next_layer`` append the next layer's
+    ``schedule.size(layer_count + 1)`` values to ``values`` and call
     ``_close_layer``.  The constructor makes the first layer, and
     ``generate_next_layer`` does nothing once ``has_more_layers()`` is
     false.  Layers are immutable once generated, so ``max_generated``
@@ -255,20 +257,29 @@ class LohGenerator:
 
 
 class LeafGenerator(LohGenerator):
-    """Generator over a fixed array, layer-ordered up front.
+    """Generator over a fixed array, each layer popped off a binary heap.
 
-    The array is LOHified at construction; generating a layer just makes
-    the next block visible to the consumer.  The first layer is exposed
-    immediately.
+    The constructor heapifies a copy of the array, leaving the caller's
+    sequence untouched, and makes the first layer.  Each layer is the
+    next ``schedule.size(i)`` values popped off that heap, so the
+    generated prefix is sorted (a valid layer order at any alpha) and
+    values that no layer asks for are never ordered.
     """
 
-    __slots__ = ()
+    __slots__ = ("_heap",)
 
     def __init__(self, values: Sequence[float], alpha: float):
-        heap = lohify(values, alpha)
-        super().__init__(heap.values, heap.schedule)
-        self._close_layer()
+        heap = list(values)
+        if not heap:
+            raise ContractViolation("cannot generate layers from an empty sequence")
+        heapq.heapify(heap)
+        super().__init__([], LayerSchedule(alpha, len(heap)))
+        self._heap = heap
+        self.generate_next_layer()
 
     def generate_next_layer(self) -> None:
         if self.has_more_layers():
+            heap, out = self._heap, self.values
+            for _ in range(self.schedule.size(self.layer_count + 1)):
+                out.append(heapq.heappop(heap))
             self._close_layer()

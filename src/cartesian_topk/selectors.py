@@ -58,6 +58,25 @@ class RunStats:
     each child for 1 + the deepest (1-based) index it used;
     generated_per_level totals layer-generator output per depth for the
     layered tree method.
+
+    The other three counters measure a different unit of work in each
+    selector, so they compare runs of one selector, not two selectors:
+
+    - ``values_generated``: soft-tensor counts soft-heap inserts (tensor
+      cells whose sum was evaluated); soft-tree counts the values every
+      node hands its parent plus the soft-heap inserts of every pairwise
+      selection; sort-tensor counts fringe pushes; sort-tree counts the
+      values popped from every node, leaves included; fast-soft-tree
+      counts the values in the generated layers of every node, leaves
+      included (the sum of ``generated_per_level``).
+    - ``corrupted_count``: entries a soft heap corrupted, summed over
+      every soft heap of the run (soft-tensor's one heap, every pairwise
+      selection of soft-tree, every layer's heap of every fast-soft-tree
+      node); always 0 for the two sorted selectors.
+    - ``fringe_peak``: the most candidates held at once.  soft-tensor
+      and sort-tensor count their one heap; soft-tree and fast-soft-tree
+      take the largest peak of any single soft heap; sort-tree counts
+      the entries of all its merge fringes together.
     """
 
     pops_per_level: dict[int, float] = field(default_factory=dict)
@@ -427,10 +446,11 @@ def fast_soft_tree_select(arrays: Sequence[Sequence[float]], k: int, alpha: floa
                           stats: RunStats | None = None) -> SelectionResult:
     """k smallest sums via a tree of layer-ordered pair-sum generators.
 
-    Leaves are layer-ordered up front; internal nodes generate their sum
-    layers on demand, so each level of the tree produces only about
-    alpha^2 times the values of the level above it.  The root generates
-    layers until it holds k values, then an exact 1-D selection finishes.
+    Leaves pop each layer off a binary heap of their array when asked;
+    internal nodes generate their sum layers on demand, so each level of
+    the tree produces only about alpha^2 times the values of the level
+    above it.  The root generates layers until it holds k values, then an
+    exact 1-D selection finishes.
     """
     if not 1.0 < alpha < 2.0:
         raise ParameterError(f"alpha must lie in (1, 2), got {alpha}")
@@ -451,7 +471,6 @@ def fast_soft_tree_select(arrays: Sequence[Sequence[float]], k: int, alpha: floa
     root = build(0, len(mats), 0)
     while root.generated_count < k:
         root.generate_next_layer()
-    prefix = root.values[:root.generated_count]
     if stats is not None:
         for depth, nodes in levels.items():
             stats.generated_per_level[depth] = sum(n.generated_count for n in nodes)
@@ -462,4 +481,4 @@ def fast_soft_tree_select(arrays: Sequence[Sequence[float]], k: int, alpha: floa
                 stats.corrupted_count += n.soft_heap_corrupted
                 stats.fringe_peak = max(stats.fringe_peak, n.soft_heap_peak)
         stats.values_generated += sum(stats.generated_per_level.values())
-    return SelectionResult(values=select_k(prefix, k), sorted=False)
+    return SelectionResult(values=select_k(root.values, k), sorted=False)

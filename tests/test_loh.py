@@ -224,3 +224,29 @@ def test_schedule_totals_on_demand():
     assert huge.has_layer(41) and not huge.has_layer(0)
     with pytest.raises(ContractViolation):
         huge.total(0)
+
+
+def test_leaf_generator_pops_layers_lazily():
+    # a leaf holds exactly its generated layers, each the matching slice of
+    # the sorted input, and leaves the caller's list as it was
+    rng = random.Random(26)
+    vals = [float(rng.randrange(500)) for _ in range(5000)]
+    rng.shuffle(vals)
+    before = list(vals)
+    ordered = sorted(vals)
+    gen = LeafGenerator(vals, 1.1)
+    while True:
+        assert len(gen.values) == gen.generated_count
+        i = gen.layer_count
+        lo = gen.schedule.total(i - 1) if i > 1 else 0
+        assert Counter(gen.layer(i)) == Counter(ordered[lo:gen.schedule.total(i)])
+        if not gen.has_more_layers():
+            break
+        gen.generate_next_layer()
+    assert gen.generated_count == len(vals)
+    gen.generate_next_layer()  # exhausted: no-op
+    assert len(gen.values) == gen.generated_count == len(vals)
+    assert gen.layer_count == gen.schedule.num_layers
+    assert vals == before
+    with pytest.raises(ContractViolation):
+        LeafGenerator([], 1.1)

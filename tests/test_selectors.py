@@ -235,6 +235,24 @@ def test_fast_leaf_level_generation_bound():
         assert stats.generated_per_level[max(stats.generated_per_level)] <= bound
 
 
+def test_fast_leaves_do_not_partition_whole_arrays(monkeypatch):
+    # the paper's m=64, n=1024, k=512 case: leaves order only the values
+    # their layers use, so no leaf may lohify or partition its array
+    import cartesian_topk.loh as loh
+    from cartesian_topk.bench import generate_inputs
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a leaf partitioned its whole array")
+
+    monkeypatch.setattr(loh, "lohify", refuse)
+    monkeypatch.setattr(loh, "split_at", refuse)
+    arrays = generate_inputs("exponential", 64, 1024, seed=1)
+    stats = RunStats()
+    got = sorted(fast_soft_tree_select(arrays, 512, 1.1, stats=stats).values)
+    assert got == sort_tree_select(arrays, 512).values
+    assert stats.generated_per_level[6] < 0.02 * 64 * 1024
+
+
 def test_agreement_duplicate_heavy():
     rng = random.Random(43)
     for _ in range(40):
