@@ -86,6 +86,8 @@ class BenchConfig:
             raise ParameterError("distribution 'file' requires --input-file")
         if self.k < 1:
             raise ParameterError(f"k must be positive, got {self.k}")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be non-negative, got {self.seed}")
         if self.replicates < 1:
             raise ParameterError(f"replicates must be positive, got {self.replicates}")
         if self.distribution != "file" and (self.m < 1 or self.n < 1):

@@ -84,8 +84,9 @@ def main(argv: list[str] | None = None) -> int:
             except InputParseError as exc:
                 print(f"parse error: {exc}", file=sys.stderr)
                 return EXIT_PARSE
-            except OSError as exc:  # only --input-file is read
-                print(f"input error: {config.input_file}: {exc.strerror or exc}", file=sys.stderr)
+            except (OSError, UnicodeDecodeError) as exc:  # only --input-file is read
+                reason = getattr(exc, "strerror", None) or exc
+                print(f"input error: {config.input_file}: {reason}", file=sys.stderr)
                 return EXIT_PARSE
             except (ParameterError, ContractViolation, GuardError) as exc:
                 print(f"usage error: {exc}", file=sys.stderr)

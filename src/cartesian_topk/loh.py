@@ -86,6 +86,25 @@ class LayerSchedule:
         prev = self._totals[i - 1] if i > 0 else 0
         return i + 1, pos - prev
 
+    def child_positions(self, pos: int) -> tuple[int, ...]:
+        """Flat positions of the children of ``pos``: ``children_of`` plus the
+        layer's base, dropping those past n; none in the last layer."""
+        if pos < 1 or pos > self.n:
+            raise ContractViolation(f"position {pos} outside [1, {self.n}]")
+        totals = self._totals
+        if totals[-1] < pos:
+            self._extend(0, pos)
+        i = bisect_left(totals, pos)
+        if i + 1 == len(totals):
+            if totals[i] >= self.n:
+                return ()
+            self._extend(i + 2)
+        prev, end = totals[i - 1] if i else 0, totals[i]
+        j = pos - prev
+        two_child = totals[i + 1] - 2 * end + prev  # next full size minus this one
+        kids = (end + 2 * j - 1, end + 2 * j) if j <= two_child else (end + j + two_child,)
+        return kids if kids[-1] <= self.n else tuple(c for c in kids if c <= self.n)
+
     def _check_layer(self, i: int) -> None:
         if (i < 1 or i > len(self._totals)) and not self.has_layer(i):
             raise ContractViolation(f"layer {i} does not exist for n={self.n}")

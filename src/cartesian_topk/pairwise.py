@@ -22,7 +22,7 @@ import heapq
 from typing import Sequence
 
 from .errors import ContractViolation
-from .loh import LohGenerator, children_of, layer_schedule
+from .loh import LohGenerator, layer_schedule
 from .select1d import select_k, split_smallest
 from .soft_heap import SoftHeap, pop_and_pool
 
@@ -134,25 +134,31 @@ class PairSumNode(LohGenerator):
     generated prefix of A, of B, or both).  Pairs pointing past a child's
     total size are never created at all.
 
-    Each output layer is produced by: covering the child prefixes via
-    concatenation selection, reviving purgatory pairs whose blocking side
-    has grown, popping the soft heap once per output slot, an exact 1-D
-    selection over popped + corrupted + carried-over values, and a
-    soft-heap rebuild so corruption never accumulates across layers.
+    The node keeps one soft heap for its lifetime.  Each output layer is
+    produced by: covering the child prefixes via concatenation selection,
+    reviving purgatory pairs whose blocking side has grown, one counted
+    extraction per output slot (``pop_and_pool``), and an exact 1-D
+    selection over the values settled plus those carried over.
+
+    Settled corrupted entries stay in the heap, yet each layer is exact.
+    Take any cell x not yet pooled and not behind a parked pair (the
+    concatenation cover does not need those yet).  Its first unsettled
+    ancestor y is in the heap, uncorrupted, with key(y) <= x, so every
+    counted extraction settles a distinct entry in this call whose
+    original key is <= key(y) <= x: the pool has ``layer_size`` of them.
     """
 
-    __slots__ = ("left", "right", "_soft", "purgatory_a", "purgatory_b",
+    __slots__ = ("left", "right", "soft_heap", "purgatory_a", "purgatory_b",
                  "purgatory_ab", "carryover", "_left_min", "_right_min",
-                 "_seen_a", "_seen_b", "soft_heap_corrupted", "pops_total",
-                 "soft_heap_peak", "proposed_total", "processed_total",
-                 "live_in_heap", "_debug_cells")
+                 "_seen_a", "_seen_b", "pops_total", "proposed_total",
+                 "processed_total", "live_in_heap", "_debug_cells")
 
     def __init__(self, left: LohGenerator, right: LohGenerator, alpha: float,
                  debug_accounting: bool = False):
         super().__init__([], layer_schedule(alpha, left.total_size * right.total_size))
         self.left = left
         self.right = right
-        self._soft = SoftHeap(DEFAULT_EPSILON)
+        self.soft_heap = SoftHeap(DEFAULT_EPSILON)
         self.purgatory_a: list[tuple[int, int]] = []
         self.purgatory_b: list[tuple[int, int]] = []
         self.purgatory_ab: list[tuple[int, int]] = []
@@ -161,11 +167,8 @@ class PairSumNode(LohGenerator):
         self._right_min = right.min_value()
         self._seen_a = left.generated_count
         self._seen_b = right.generated_count
-        # Totals over every soft-heap epoch; complete between layers, since
-        # each layer ends with a rebuild that folds the old heap in.
-        self.soft_heap_corrupted = 0
+        # Lifetime totals; soft_heap counts its own corruption and peak size.
         self.pops_total = 0
-        self.soft_heap_peak = 0
         self.proposed_total = 0
         self.processed_total = 0
         self.live_in_heap = 0
@@ -187,54 +190,26 @@ class PairSumNode(LohGenerator):
 
         pool = self.carryover
         self.carryover = []
-        self.pops_total += pop_and_pool(self._soft, layer_size, pool, self._settle)
+        self.pops_total += pop_and_pool(self.soft_heap, layer_size, pool, self._settle)
 
         selected, self.carryover = split_smallest(pool, layer_size)
         self.values.extend(selected)
         self._close_layer()
-        self._rebuild_soft_heap()
 
     # -- internals -------------------------------------------------------------
 
     def _settle(self, e) -> None:
         ia, ib = e.payload
-        e.payload = None  # processed: children proposed, value pooled
         self.processed_total += 1
         self.live_in_heap -= 1
         if ib == 1:
-            for ca in self._loh_children(self.left, ia):
+            for ca in self.left.schedule.child_positions(ia):
                 self._propose(ca, 1)
-            for cb in self._loh_children(self.right, 1):
+            for cb in self.right.schedule.child_positions(1):
                 self._propose(ia, cb)
         else:
-            for cb in self._loh_children(self.right, ib):
+            for cb in self.right.schedule.child_positions(ib):
                 self._propose(ia, cb)
-
-    def _rebuild_soft_heap(self) -> None:
-        old = self._soft
-        self.soft_heap_corrupted += old.corrupted_count
-        if old.peak_size > self.soft_heap_peak:
-            self.soft_heap_peak = old.peak_size
-        survivors = old.drain()
-        soft = SoftHeap(DEFAULT_EPSILON)
-        for e in survivors:
-            if e.payload is not None:
-                soft.insert(e.original_key, e.payload)
-        self._soft = soft
-
-    @staticmethod
-    def _loh_children(gen: LohGenerator, pos: int) -> list[int]:
-        sched = gen.schedule
-        layer, offset = sched.layer_of(pos)
-        if not sched.has_layer(layer + 1):
-            return []
-        base = sched.total(layer)
-        out = []
-        for child_offset in children_of(sched, layer, offset):
-            child = base + child_offset
-            if child <= sched.n:  # truncated final layer
-                out.append(child)
-        return out
 
     def _propose(self, ia: int, ib: int) -> None:
         # First (and only) proposal of a pair; the scheme is duplicate-free.
@@ -250,7 +225,7 @@ class PairSumNode(LohGenerator):
         a_ready = ia <= self.left.generated_count
         b_ready = ib <= self.right.generated_count
         if a_ready and b_ready:
-            self._soft.insert(self.left.value_at(ia) + self.right.value_at(ib), (ia, ib))
+            self.soft_heap.insert(self.left.value_at(ia) + self.right.value_at(ib), (ia, ib))
             self.live_in_heap += 1
         elif not a_ready and not b_ready:
             self.purgatory_ab.append((ia, ib))

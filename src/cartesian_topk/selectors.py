@@ -71,12 +71,12 @@ class RunStats:
       included (the sum of ``generated_per_level``).
     - ``corrupted_count``: entries a soft heap corrupted, summed over
       every soft heap of the run (soft-tensor's one heap, every pairwise
-      selection of soft-tree, every layer's heap of every fast-soft-tree
-      node); always 0 for the two sorted selectors.
+      selection of soft-tree, each fast-soft-tree node's one soft heap
+      over its lifetime); always 0 for the two sorted selectors.
     - ``fringe_peak``: the most candidates held at once.  soft-tensor
       and sort-tensor count their one heap; soft-tree and fast-soft-tree
-      take the largest peak of any single soft heap; sort-tree counts
-      the entries of all its merge fringes together.
+      take the largest peak of any single soft heap (settled corrupted
+      entries included); sort-tree counts all its merge fringes together.
     """
 
     pops_per_level: dict[int, float] = field(default_factory=dict)
@@ -478,7 +478,7 @@ def fast_soft_tree_select(arrays: Sequence[Sequence[float]], k: int, alpha: floa
             if pair_nodes:
                 stats.pops_per_level[depth] = sum(n.pops_total for n in pair_nodes) / len(pair_nodes)
             for n in pair_nodes:
-                stats.corrupted_count += n.soft_heap_corrupted
-                stats.fringe_peak = max(stats.fringe_peak, n.soft_heap_peak)
+                stats.corrupted_count += n.soft_heap.corrupted_count
+                stats.fringe_peak = max(stats.fringe_peak, n.soft_heap.peak_size)
         stats.values_generated += sum(stats.generated_per_level.values())
     return SelectionResult(values=select_k(root.values, k), sorted=False)

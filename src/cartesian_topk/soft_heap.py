@@ -203,16 +203,22 @@ def pop_and_pool(soft: SoftHeap, pops: int, pool: list,
     when it is extracted uncorrupted.  Settling appends its original key to
     ``pool`` and calls ``propose(entry)``, which inserts its children.  The
     newly corrupted entries of an extraction settle before the extracted
-    one, which fixes the insertion order.  Stops early once the heap is
-    empty; returns the number of extractions.
+    one, which fixes the insertion order.  An extraction counts toward
+    ``pops`` unless its entry is corrupted and was first reported before
+    this call, i.e. settled by an earlier call on the same heap.  Stops
+    early once the heap is empty; returns the number of counted extractions.
     """
     done = 0
+    reported: set = set()  # entries first reported corrupted in this call
     while done < pops and soft.size > 0:
         entry, fresh = soft.extract_min()
+        if fresh:
+            reported.update(fresh)
         if not entry.corrupted:
             fresh.append(entry)
         for e in fresh:
             pool.append(e.original_key)
             propose(e)
-        done += 1
+        if not entry.corrupted or entry in reported:
+            done += 1
     return done

@@ -238,6 +238,21 @@ def test_cli_unreadable_input_file(tmp_path, capsys):
     assert len(err) == 1 and str(missing) in err[0]
 
 
+def test_cli_non_utf8_input_file(tmp_path, capsys):
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes("1 2 3\n4 5 6 \u00b5\n".encode("latin-1"))
+    code = main(["--distribution", "file", "--input-file", str(latin1), "--k", "1"])
+    assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and str(latin1) in err[0]
+
+
+def test_cli_negative_seed(capsys):
+    assert main(["--algorithm", "sort-tree", "--seed", "-1"]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("usage error:") and "seed" in err[0]
+
+
 def test_cli_unwritable_output(tmp_path, capsys):
     args = ["--algorithm", "sort-tree", "--m", "2", "--n", "4", "--k", "3"]
     bad_csv = tmp_path / "no" / "rows.csv"

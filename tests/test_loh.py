@@ -159,6 +159,25 @@ def test_children_of_range_checks():
         children_of(sched, 1, 2)  # offset beyond layer size
 
 
+@pytest.mark.parametrize("alpha", [1.05, 1.1, 1.5, 1.9])
+def test_child_positions_match_children_of(alpha):
+    # flat-position children equal the layer offset map of children_of,
+    # truncated to n, on fresh schedules that extend their totals lazily
+    for n in [*range(1, 121), 10**30]:
+        sched, ref = layer_schedule(alpha, n), layer_schedule(alpha, n)
+        for pos in range(1, min(n, 3000) + 1):
+            layer, offset = ref.layer_of(pos)
+            want = ()
+            if ref.has_layer(layer + 1):
+                base = ref.total(layer)
+                want = tuple(base + c for c in children_of(ref, layer, offset) if base + c <= n)
+            assert sched.child_positions(pos) == want, (n, pos)
+    sched = layer_schedule(alpha, 50)
+    for pos in (0, 51):
+        with pytest.raises(ContractViolation):
+            sched.child_positions(pos)
+
+
 def test_prefix_layers_match_selection():
     # whole-layer prefixes are exactly the T_i smallest values
     rng = random.Random(23)

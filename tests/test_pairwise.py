@@ -7,6 +7,7 @@ import pytest
 from cartesian_topk import (ContractViolation, LeafGenerator, PairSumNode,
                             concatenation_select, soft_select_pairwise)
 from cartesian_topk.loh import LohGenerator
+from cartesian_topk.pairwise import DEFAULT_EPSILON
 
 
 def brute_pair(a, b, k):
@@ -220,6 +221,9 @@ def test_node_layers_match_brute_prefixes():
             # conservation: every proposed pair is accounted for exactly once
             assert node.proposed_total == (node.processed_total + node.live_in_heap
                                            + node.parked_count())
+            # the node's one soft heap keeps its corruption bound for life
+            heap = node.soft_heap
+            assert heap.corrupted_count <= DEFAULT_EPSILON * heap.insert_count
         assert sorted(node.values) == full
         # the layer blocks really are layer-ordered over the true sums
         pos = 0

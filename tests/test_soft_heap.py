@@ -4,6 +4,7 @@ from collections import Counter
 import pytest
 
 from cartesian_topk import ContractViolation, ParameterError, SoftHeap
+from cartesian_topk.soft_heap import pop_and_pool
 
 
 def test_new_heap_is_empty():
@@ -164,3 +165,25 @@ def test_corrupted_entries_accessor():
     while h.size:
         reported.extend(h.extract_min()[1])
     assert {id(e) for e in reported} == {id(e) for e in h.corrupted_entries()}
+
+
+def test_pop_and_pool_skips_entries_an_earlier_call_settled():
+    # A heap kept across calls, as a pair-sum node keeps it across layers:
+    # entries the first call settled as corrupted stay in the heap, and the
+    # second call must neither pool them again nor count their extraction.
+    rng = random.Random(13)
+    keys = [rng.random() for _ in range(300)]
+    h = SoftHeap(0.25)
+    for x in keys:
+        h.insert(x)
+    settled: list = []
+    first: list = []
+    assert pop_and_pool(h, 30, first, settled.append) == 30
+    left_in_heap = len(settled) - 30  # settled as corrupted, not extracted
+    assert left_in_heap > 0
+    unsettled = len(keys) - len(settled)
+    second: list = []
+    assert pop_and_pool(h, unsettled, second, settled.append) == unsettled
+    assert len({id(e) for e in settled}) == len(settled) == len(keys)
+    assert len(second) == unsettled
+    assert Counter(first + second) == Counter(keys)
