@@ -10,13 +10,12 @@ parent/child offset arithmetic between adjacent layers, and
 on demand: it keeps the generated values, layer count and running
 maxima, and answers every query about them, while ``LeafGenerator``
 and ``pairwise.PairSumNode`` only say how the next layer is made.
-A leaf pops each layer off a binary heap when asked for it, so input
-values that no layer reaches are never ordered.
+A leaf sorts a copy of its array once and slices each layer off it
+when asked for it.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from bisect import bisect_left
 from typing import Sequence
@@ -276,29 +275,26 @@ class LohGenerator:
 
 
 class LeafGenerator(LohGenerator):
-    """Generator over a fixed array, each layer popped off a binary heap.
+    """Generator over a fixed array that slices a sorted copy into layers.
 
-    The constructor heapifies a copy of the array, leaving the caller's
+    The constructor sorts a copy of the array once, leaving the caller's
     sequence untouched, and makes the first layer.  Each layer is the
-    next ``schedule.size(i)`` values popped off that heap, so the
-    generated prefix is sorted (a valid layer order at any alpha) and
-    values that no layer asks for are never ordered.
+    next ``schedule.size(i)`` values of that copy, so the generated
+    prefix is sorted, a valid layer order at any alpha.
     """
 
-    __slots__ = ("_heap",)
+    __slots__ = ("_sorted",)
 
     def __init__(self, values: Sequence[float], alpha: float):
-        heap = list(values)
-        if not heap:
+        ordered = sorted(values)
+        if not ordered:
             raise ContractViolation("cannot generate layers from an empty sequence")
-        heapq.heapify(heap)
-        super().__init__([], LayerSchedule(alpha, len(heap)))
-        self._heap = heap
+        super().__init__([], LayerSchedule(alpha, len(ordered)))
+        self._sorted = ordered
         self.generate_next_layer()
 
     def generate_next_layer(self) -> None:
         if self.has_more_layers():
-            heap, out = self._heap, self.values
-            for _ in range(self.schedule.size(self.layer_count + 1)):
-                out.append(heapq.heappop(heap))
+            end = self.schedule.total(self.layer_count + 1)
+            self.values.extend(self._sorted[self.generated_count:end])
             self._close_layer()

@@ -13,9 +13,8 @@ values survives is unspecified.
 
 from __future__ import annotations
 
-import math
 import random
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import ContractViolation, ParameterError
 
@@ -24,13 +23,6 @@ _SMALL = 24
 
 # Pivot source for quickselect. Seeded so repeated runs behave identically.
 _rng = random.Random(0x51F5E17)
-
-
-def require_finite(values: Iterable[float], name: str = "values") -> None:
-    """Reject NaN/Inf at the library boundary; scores must be finite."""
-    for v in values:
-        if not math.isfinite(v):
-            raise ParameterError(f"{name} must contain only finite numbers, got {v!r}")
 
 
 def _partition3(a: list, lo: int, hi: int, pivot) -> tuple[int, int]:

@@ -9,6 +9,8 @@ and tree-of-fringes respectively); ``fast_soft_tree_select`` stacks
 layer-ordered-heap pair-sum generators into a tree so sibling work stays
 near k+1 values per node.
 
+All six convert and check each axis once, to float64, in ``_checked``;
+the selectors then read one ascending list of Python floats per axis.
 Every algorithm sums an index tuple with the same balanced grouping
 (left half = first ceil(m/2) axes), so equal index tuples give
 bit-identical floats across algorithms and the oracle, and outputs can
@@ -27,7 +29,7 @@ import numpy as np
 from .errors import ContractViolation, GuardError, ParameterError
 from .loh import LeafGenerator, LohGenerator
 from .pairwise import PairSumNode, soft_select_pairwise
-from .select1d import require_finite, select_k
+from .select1d import select_k
 from .soft_heap import SoftHeap, pop_and_pool
 
 DEFAULT_GUARD = 10_000_000
@@ -86,19 +88,45 @@ class RunStats:
     generated_per_level: dict[int, int] = field(default_factory=dict)
 
 
-def _validated(arrays: Sequence[Sequence[float]], k: int) -> tuple[list[list[float]], int]:
-    if not arrays:
+def require_finite(values: np.ndarray, name: str = "values") -> None:
+    """Reject NaN/Inf at the library boundary, one vectorized pass per axis."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        bad = float(values[~finite][0])
+        raise ParameterError(f"{name} must contain only finite numbers, got {bad!r}")
+
+
+def _checked(arrays: Sequence[Sequence[float]], k: int) -> list[np.ndarray]:
+    """The input boundary: each axis (a row, for a 2-D ndarray) converted once
+    to a finite, nonempty 1-D float64 array, with 1 <= k <= cells and the sum
+    over axes of max |x| finite, so no sum of one value per axis overflows."""
+    if len(arrays) == 0:
         raise ContractViolation("need at least one input array")
-    mats = [list(a) for a in arrays]
+    axes = []
     total = 1
-    for t, arr in enumerate(mats):
-        if not arr:
-            raise ContractViolation(f"input array {t} is empty")
-        require_finite(arr, f"array {t}")
-        total *= len(arr)
+    reach = 0.0
+    for t, a in enumerate(arrays):
+        try:
+            axis = np.asarray(a, dtype=np.float64)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ContractViolation(f"array {t} does not convert to float64: {exc}") from None
+        if axis.ndim != 1 or axis.size == 0:
+            raise ContractViolation(f"input array {t} must be nonempty and 1-D, got shape {axis.shape}")
+        require_finite(axis, f"array {t}")
+        axes.append(axis)
+        total *= axis.size
+        reach += float(np.abs(axis).max())
     if k < 1 or k > total:
         raise ContractViolation(f"k={k} outside [1, {total}]")
-    return mats, total
+    if not math.isfinite(reach):
+        raise ContractViolation("the sum over arrays of max |x| overflows float64")
+    return axes
+
+
+def _validated(arrays: Sequence[Sequence[float]], k: int) -> list[list[float]]:
+    """Checked axes as ascending lists of Python floats, which every leaf
+    indexes directly: a sorted list is a valid binary heap and layer order."""
+    return [np.sort(axis).tolist() for axis in _checked(arrays, k)]
 
 
 def _left_size(count: int) -> int:
@@ -129,25 +157,25 @@ def theoretical_exponent(alpha: float) -> float:
 def brute_force_select(arrays: Sequence[Sequence[float]], k: int, *,
                        guard: int = DEFAULT_GUARD) -> SelectionResult:
     """Materialize every sum, sort, keep k; refuses above ``guard`` cells."""
-    mats, total = _validated(arrays, k)
+    axes = _checked(arrays, k)
+    sizes = [len(a) for a in axes]
+    total = math.prod(sizes)
     if total > guard:
         raise GuardError(f"{total} tensor cells exceed the materialization guard {guard}")
 
     def sums(lo: int, hi: int) -> np.ndarray:
         if hi - lo == 1:
-            return np.asarray(mats[lo], dtype=np.float64)
+            return axes[lo]
         mid = lo + _left_size(hi - lo)
         return np.add.outer(sums(lo, mid), sums(mid, hi)).ravel()
 
-    flat = sums(0, len(mats))
+    flat = sums(0, len(axes))
     if k < total:
         picked = np.argpartition(flat, k - 1)[:k]
         picked = picked[np.argsort(flat[picked], kind="stable")]
     else:
         picked = np.argsort(flat, kind="stable")
-    values = [float(v) for v in flat[picked]]
-
-    sizes = [len(a) for a in mats]
+    values = flat[picked].tolist()
 
     def decode(code: int, lo: int, hi: int) -> tuple[int, ...]:
         if hi - lo == 1:
@@ -156,7 +184,7 @@ def brute_force_select(arrays: Sequence[Sequence[float]], k: int, *,
         right_total = math.prod(sizes[mid:hi])
         return decode(code // right_total, lo, mid) + decode(code % right_total, mid, hi)
 
-    indices = [decode(int(code), 0, len(mats)) for code in picked]
+    indices = [decode(int(code), 0, len(axes)) for code in picked]
     return SelectionResult(values=values, sorted=True, indices=indices)
 
 
@@ -196,10 +224,8 @@ def soft_tensor_select(arrays: Sequence[Sequence[float]], k: int, *,
                        stats: RunStats | None = None,
                        debug_checks: bool = False) -> SelectionResult:
     """k smallest sums via one soft heap over m-dimensional index tuples."""
-    mats, _ = _validated(arrays, k)
+    mats = _validated(arrays, k)  # ascending, so each axis is already a binary heap
     m = len(mats)
-    for h in mats:  # _validated's fresh copies, so the caller's lists stay untouched
-        heapq.heapify(h)
     dims = [len(h) for h in mats]
 
     def value_of(idx: tuple[int, ...]) -> float:
@@ -238,7 +264,7 @@ def soft_tree_select(arrays: Sequence[Sequence[float]], k: int, *,
     enough: siblings jointly contribute at most k+1 distinct source
     values to any k-selection on their sum.
     """
-    mats, _ = _validated(arrays, k)
+    mats = _validated(arrays, k)
 
     def run(lo: int, hi: int) -> list:
         count = 1
@@ -246,7 +272,7 @@ def soft_tree_select(arrays: Sequence[Sequence[float]], k: int, *,
             count *= len(arr)
         want = min(k, count)
         if hi - lo == 1:
-            out = select_k(mats[lo], want)
+            out = mats[lo][:want]
         else:
             mid = lo + _left_size(hi - lo)
             out = soft_select_pairwise(run(lo, mid), run(mid, hi), want, stats=stats)
@@ -262,26 +288,21 @@ def soft_tree_select(arrays: Sequence[Sequence[float]], k: int, *,
 # ---------------------------------------------------------------------------
 
 class _SortLeaf:
-    """Sorted stream over one input array: a sort-tensor axis or a sort-tree leaf."""
+    """Sort-tree leaf over one ascending axis: each pop reads the next value."""
 
-    __slots__ = ("heap", "realized", "total")
+    __slots__ = ("values", "pop_count", "total")
 
-    def __init__(self, arr: list):
-        self.heap = list(arr)
-        heapq.heapify(self.heap)
-        self.realized: list = []
-        self.total = len(arr)
-
-    @property
-    def pop_count(self) -> int:
-        return len(self.realized)
+    def __init__(self, values: list):
+        self.values = values
+        self.pop_count = 0
+        self.total = len(values)
 
     def has_more(self) -> bool:
-        return len(self.realized) < self.total
+        return self.pop_count < self.total
 
     def pop_next(self) -> float:
-        v = heapq.heappop(self.heap)
-        self.realized.append(v)
+        v = self.values[self.pop_count]
+        self.pop_count += 1
         return v
 
     def index_of(self, t: int) -> tuple[int, ...]:
@@ -296,12 +317,12 @@ def sort_tensor_select(arrays: Sequence[Sequence[float]], k: int, *,
     appends the m successor tuples not already enqueued.  Indices address
     the ascending order of each axis.
     """
-    mats, _ = _validated(arrays, k)
+    mats = _validated(arrays, k)
     m = len(mats)
-    axes = [_SortLeaf(a) for a in mats]
+    dims = [len(a) for a in mats]
 
     root = (1,) * m
-    fringe: list[tuple[float, tuple[int, ...]]] = [(_balanced_sum([ax.pop_next() for ax in axes]), root)]
+    fringe: list[tuple[float, tuple[int, ...]]] = [(_balanced_sum([a[0] for a in mats]), root)]
     enqueued = {root}
     peak = 1
     pushes = 1
@@ -313,15 +334,13 @@ def sort_tensor_select(arrays: Sequence[Sequence[float]], k: int, *,
         indices.append(idx)
         for t in range(m):
             step = idx[t] + 1
-            if step > axes[t].total:
+            if step > dims[t]:
                 continue
             nxt = idx[:t] + (step,) + idx[t + 1:]
             if nxt in enqueued:
                 continue
             enqueued.add(nxt)
-            if step > len(axes[t].realized):
-                axes[t].pop_next()
-            heapq.heappush(fringe, (_balanced_sum([axes[u].realized[nxt[u] - 1] for u in range(m)]), nxt))
+            heapq.heappush(fringe, (_balanced_sum([mats[u][nxt[u] - 1] for u in range(m)]), nxt))
             pushes += 1
         if len(fringe) > peak:
             peak = len(fringe)
@@ -414,7 +433,7 @@ def sort_tree_select(arrays: Sequence[Sequence[float]], k: int,
                      want_indices: bool = False, *,
                      stats: RunStats | None = None) -> SelectionResult:
     """k smallest sums in ascending order via a balanced tree of merges."""
-    mats, _ = _validated(arrays, k)
+    mats = _validated(arrays, k)
     gauge = _FringeGauge()
     levels: dict[int, list] = {}
 
@@ -446,7 +465,7 @@ def fast_soft_tree_select(arrays: Sequence[Sequence[float]], k: int, alpha: floa
                           stats: RunStats | None = None) -> SelectionResult:
     """k smallest sums via a tree of layer-ordered pair-sum generators.
 
-    Leaves pop each layer off a binary heap of their array when asked;
+    Leaves slice each layer off their ascending array when asked;
     internal nodes generate their sum layers on demand, so each level of
     the tree produces only about alpha^2 times the values of the level
     above it.  The root generates layers until it holds k values, then an
@@ -454,7 +473,7 @@ def fast_soft_tree_select(arrays: Sequence[Sequence[float]], k: int, alpha: floa
     """
     if not 1.0 < alpha < 2.0:
         raise ParameterError(f"alpha must lie in (1, 2), got {alpha}")
-    mats, _ = _validated(arrays, k)
+    mats = _validated(arrays, k)
     levels: dict[int, list[LohGenerator]] = {}
 
     def build(lo: int, hi: int, depth: int) -> LohGenerator:

@@ -253,6 +253,16 @@ def test_cli_negative_seed(capsys):
     assert len(err) == 1 and err[0].startswith("usage error:") and "seed" in err[0]
 
 
+def test_cli_sum_overflow_is_usage_error(tmp_path, capsys):
+    # each value is finite, but 1e308 + 1e308 overflows float64
+    p = tmp_path / "arrays.txt"
+    p.write_text("1e308 1e308\n1e308\n")
+    code = main(["--distribution", "file", "--input-file", str(p), "--k", "1", "--validate"])
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("usage error:") and "overflow" in err[0]
+
+
 def test_cli_unwritable_output(tmp_path, capsys):
     args = ["--algorithm", "sort-tree", "--m", "2", "--n", "4", "--k", "3"]
     bad_csv = tmp_path / "no" / "rows.csv"
