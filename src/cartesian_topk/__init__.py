@@ -2,7 +2,9 @@
 
 Library of five selection algorithms over soft heaps and layer-ordered
 heaps, a brute-force oracle, and a benchmark CLI.  All selectors are
-pure functions over immutable inputs and safe to call concurrently.
+pure functions over immutable inputs and safe to call concurrently: the
+package keeps no mutable module state, so no call changes another's
+values or counters.
 """
 
 from .errors import ContractViolation, GuardError, InputParseError, ParameterError

@@ -1,89 +1,36 @@
 """One-dimensional k-selection primitives.
 
-``select_k`` finds the k smallest values of a sequence in expected linear
-time using randomized quickselect; after a depth budget is exhausted it
-falls back to deterministic median-of-medians pivots, so the worst case
-stays linear.  ``select_k_loh`` implements the same contract by repeatedly
+``split_at`` partitions with ``np.partition``, NumPy's introselect:
+deterministic and linear in the worst case, so every result and every
+counter built on it depends on the input alone.  ``select_k`` is one
+such split; ``select_k_loh`` implements the same contract by repeatedly
 partitioning into geometrically growing layers and recursing into the
 layer that overshoots the selection threshold.
 
-All functions treat ties at the multiset level: which of several equal
-values survives is unspecified.
+Values are compared and returned as the array NumPy builds from them,
+so a list mixing floats with ints past 2**53 may be compared after
+rounding to float64; every selector passes Python floats from
+``selectors._checked``.  Ties count at the multiset level: which of
+several equal values survives is unspecified.
 """
 
 from __future__ import annotations
 
-import random
 from typing import Sequence
 
+import numpy as np
+
 from .errors import ContractViolation, ParameterError
-
-# Segments at or below this size are finished with a plain sort.
-_SMALL = 24
-
-# Pivot source for quickselect. Seeded so repeated runs behave identically.
-_rng = random.Random(0x51F5E17)
-
-
-def _partition3(a: list, lo: int, hi: int, pivot) -> tuple[int, int]:
-    # Dutch-flag pass: a[lo:lt] < pivot, a[lt:gt] == pivot, a[gt:hi] > pivot.
-    lt = i = lo
-    gt = hi
-    while i < gt:
-        v = a[i]
-        if v < pivot:
-            a[i] = a[lt]
-            a[lt] = v
-            lt += 1
-            i += 1
-        elif v > pivot:
-            gt -= 1
-            a[i] = a[gt]
-            a[gt] = v
-        else:
-            i += 1
-    return lt, gt
-
-
-def _median_of_medians(a: list, lo: int, hi: int):
-    # Deterministic pivot value guaranteeing a constant-fraction split.
-    meds = []
-    i = lo
-    while i < hi:
-        j = min(i + 5, hi)
-        group = sorted(a[i:j])
-        meds.append(group[(j - i - 1) // 2])
-        i = j
-    if len(meds) == 1:
-        return meds[0]
-    mid = (len(meds) + 1) // 2
-    split_at(meds, 0, len(meds), mid)
-    return max(meds[:mid])
 
 
 def split_at(a: list, lo: int, hi: int, rank: int) -> None:
     """Rearrange ``a[lo:hi]`` in place so a[lo:rank] <= min(a[rank:hi]).
 
-    ``rank`` is an absolute position with lo <= rank <= hi.  Expected
-    linear time; worst case linear via the median-of-medians fallback.
+    ``rank`` is an absolute position with lo <= rank <= hi.  Writes back
+    ``np.partition`` of the segment (deterministic, worst case linear).
     """
-    budget = 2 * (hi - lo).bit_length() + 8
-    while lo < rank < hi:
-        if hi - lo <= _SMALL:
-            a[lo:hi] = sorted(a[lo:hi])
-            return
-        if budget > 0:
-            pivot = a[_rng.randrange(lo, hi)]
-            budget -= 1
-        else:
-            pivot = _median_of_medians(a, lo, hi)
-        lt, gt = _partition3(a, lo, hi, pivot)
-        if rank <= lt:
-            hi = lt
-        elif rank >= gt:
-            lo = gt
-        else:
-            return  # rank falls inside the equal-pivot run
+    if lo < rank < hi:
+        a[lo:hi] = np.partition(a[lo:hi], rank - lo).tolist()
 
 
 def split_smallest(values: Sequence[float], k: int) -> tuple[list, list]:
@@ -92,19 +39,18 @@ def split_smallest(values: Sequence[float], k: int) -> tuple[list, list]:
     n = len(vals)
     if k < 0 or k > n:
         raise ContractViolation(f"split point {k} outside [0, {n}]")
-    if 0 < k < n:
-        split_at(vals, 0, n, k)
+    split_at(vals, 0, n, k)
     return vals[:k], vals[k:]
 
 
 def select_k(values: Sequence[float], k: int) -> list:
-    """Return the k smallest values (by multiplicity, order unspecified)."""
+    """Return the k smallest values (by multiplicity, order unspecified);
+    one deterministic ``split_at``, so equal inputs give equal outputs."""
     vals = list(values)
     n = len(vals)
     if k < 1 or k > n:
         raise ContractViolation(f"k={k} outside [1, {n}]")
-    if k < n:
-        split_at(vals, 0, n, k)
+    split_at(vals, 0, n, k)
     return vals[:k]
 
 

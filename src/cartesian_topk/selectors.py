@@ -107,7 +107,13 @@ def _checked(arrays: Sequence[Sequence[float]], k: int) -> list[np.ndarray]:
     reach = 0.0
     for t, a in enumerate(arrays):
         try:
-            axis = np.asarray(a, dtype=np.float64)
+            raw = np.asarray(a)
+            # complex and text axes would convert (dropping the imaginary
+            # part, parsing the text), so they are refused before astype
+            if raw.dtype.kind in "cUS" or (
+                    raw.dtype.kind == "O" and any(isinstance(v, (str, bytes)) for v in raw.flat)):
+                raise TypeError("complex or text values are not real numbers")
+            axis = raw.astype(np.float64, copy=False)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ContractViolation(f"array {t} does not convert to float64: {exc}") from None
         if axis.ndim != 1 or axis.size == 0:

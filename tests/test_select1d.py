@@ -58,7 +58,7 @@ def test_partition_correctness():
 
 
 def test_median_of_medians_fallback_on_adversarial_input():
-    # Constant and staircase inputs exercise the deterministic fallback path.
+    # Constant and staircase inputs: all-equal and heavily tied segments.
     for vals in ([1.0] * 5000, [float(i % 7) for i in range(5000)]):
         assert sorted(select_k(vals, 1234)) == sorted(vals)[:1234]
 

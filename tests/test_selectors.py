@@ -11,7 +11,6 @@ from cartesian_topk import (ContractViolation, GuardError, LeafGenerator,
                             soft_tensor_select, soft_tree_select,
                             sort_tensor_select, sort_tree_select,
                             theoretical_exponent)
-from cartesian_topk import select1d
 
 
 def balanced_sum(vals):
@@ -125,8 +124,16 @@ def test_any_numeric_dtype_matches_oracle(arrays, k):
     [[[1.0, 2.0]], [1.0]],
     [[1.0, [2.0]], [1.0]],
     [[10**400], [1]],
-], ids=["sum-overflow", "string", "nested-axis", "ragged-axis", "int-past-float"])
+    [np.array([1 + 2j, 3.0]), [1.0]],
+    [["1.5", "2"], [1.0]],
+    [np.array(["1", "2"]), [1.0]],
+    [["1.5", 2**70], [1.0]],
+], ids=["sum-overflow", "string", "nested-axis", "ragged-axis", "int-past-float",
+        "complex", "numeric-strings", "string-ndarray", "string-in-object-axis"])
+@pytest.mark.filterwarnings("error")
 def test_boundary_rejects_unrepresentable_inputs(arrays):
+    # complex and text axes would convert to float64 (a complex one with only
+    # a ComplexWarning), so the boundary refuses them before converting
     for name, run in [("brute-force", _oracle)] + SELECTORS:
         with pytest.raises(ContractViolation):
             run(arrays, 1)
@@ -429,11 +436,7 @@ _GOLDEN_STATS = {
 
 
 @pytest.mark.parametrize("case,name", sorted(_GOLDEN_STATS))
-def test_golden_run_stats(case, name, monkeypatch):
-    # quickselect pivots come from select1d's module-global generator, and
-    # the order a soft-tree node hands its parent depends on them: start each
-    # case from the generator's seed so no earlier call moves the counters
-    monkeypatch.setattr(select1d, "_rng", random.Random(0x51F5E17))
+def test_golden_run_stats(case, name):
     arrays, k = _golden_inputs()[case]
     stats = RunStats()
     result = _GOLDEN_RUNNERS[name](arrays, k, stats)
@@ -441,6 +444,23 @@ def test_golden_run_stats(case, name, monkeypatch):
     got = (stats.pops_per_level, stats.generated_per_level, stats.values_generated,
            stats.corrupted_count, stats.fringe_peak)
     assert got == _GOLDEN_STATS[case, name]
+
+
+def test_identical_calls_repeat_values_and_run_stats():
+    # no module state survives a call: an unrelated 1-D selection between
+    # three identical calls moves neither the values nor any counter
+    from cartesian_topk import select_k
+    from cartesian_topk.bench import generate_inputs
+    arrays = generate_inputs("exponential", 8, 64, 5)
+    rng = random.Random(6)
+    unrelated = [rng.random() for _ in range(101)]
+    for name, run in _GOLDEN_RUNNERS.items():
+        outcomes = []
+        for _ in range(3):
+            stats = RunStats()
+            outcomes.append((run(arrays, 256, stats).values, stats))
+            select_k(unrelated, 50)
+        assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0], name
 
 
 # (proposed_total, processed_total, pops_total, parked_count()) once the node
