@@ -102,12 +102,12 @@ def generate_inputs(distribution: str, m: int, n: int, seed: int) -> list[list[f
     if m < 1 or n < 1:
         raise ContractViolation("m and n must be positive")
     rng = np.random.Generator(np.random.PCG64(seed))
-    if distribution == "uniform":
-        data = rng.random((m, n))
-    elif distribution == "exponential":
-        data = rng.exponential(1.0, (m, n))
-    else:
+    if distribution not in ("uniform", "exponential"):
         raise ParameterError(f"cannot generate distribution {distribution!r}")
+    try:
+        data = rng.random((m, n)) if distribution == "uniform" else rng.exponential(1.0, (m, n))
+    except (ValueError, MemoryError) as exc:  # an m x n array NumPy cannot allocate
+        raise ContractViolation(f"cannot generate {m} x {n} values: {exc}") from None
     return [row.tolist() for row in data]
 
 

@@ -14,7 +14,9 @@ the selectors then read one ascending list of Python floats per axis.
 Every algorithm sums an index tuple with the same balanced grouping
 (left half = first ceil(m/2) axes), so equal index tuples give
 bit-identical floats across algorithms and the oracle, and outputs can
-be compared as exact multisets.
+be compared as exact multisets.  The tensor selectors share one such
+tree, ``_SumTree``: a child tuple differs from its parent in one axis,
+so its sum re-adds only that leaf's path, about log2(m) additions.
 """
 
 from __future__ import annotations
@@ -108,11 +110,11 @@ def _checked(arrays: Sequence[Sequence[float]], k: int) -> list[np.ndarray]:
     for t, a in enumerate(arrays):
         try:
             raw = np.asarray(a)
-            # complex and text axes would convert (dropping the imaginary
-            # part, parsing the text), so they are refused before astype
-            if raw.dtype.kind in "cUS" or (
+            # complex, text, datetime and timedelta axes would convert (losing
+            # the imaginary part, parsing text, counting time units): refuse them
+            if raw.dtype.kind in "cUSMm" or (
                     raw.dtype.kind == "O" and any(isinstance(v, (str, bytes)) for v in raw.flat)):
-                raise TypeError("complex or text values are not real numbers")
+                raise TypeError("complex, text or time values are not real numbers")
             axis = raw.astype(np.float64, copy=False)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ContractViolation(f"array {t} does not convert to float64: {exc}") from None
@@ -139,14 +141,42 @@ def _left_size(count: int) -> int:
     return (count + 1) // 2
 
 
-def _balanced_sum(vals: Sequence[float], lo: int = 0, hi: int | None = None) -> float:
-    # Must mirror the tree split so all algorithms produce identical floats.
-    if hi is None:
-        hi = len(vals)
-    if hi - lo == 1:
-        return vals[lo]
-    mid = lo + _left_size(hi - lo)
-    return _balanced_sum(vals, lo, mid) + _balanced_sum(vals, mid, hi)
+class _SumTree:
+    """The balanced summation tree over m axes: leaf t is node t, internal
+    node m + i adds the two nodes ``ops[i]`` (post-order, so the root is
+    last), and ``paths[t]`` lists the siblings on leaf t's path, leaf up."""
+
+    __slots__ = ("ops", "paths")
+
+    def __init__(self, m: int):
+        self.ops: list[tuple[int, int]] = []
+        self.paths: list[list[int]] = [[] for _ in range(m)]
+
+        def build(lo: int, hi: int) -> int:
+            if hi - lo == 1:
+                return lo
+            mid = lo + _left_size(hi - lo)
+            left, right = build(lo, mid), build(mid, hi)
+            for t in range(lo, hi):
+                self.paths[t].append(right if t < mid else left)
+            self.ops.append((left, right))
+            return m + len(self.ops) - 1
+
+        build(0, m)
+
+    def partials(self, vals: Sequence[float]) -> list[float]:
+        """All 2m-1 node sums of one value per axis; the root's is last."""
+        sums = list(vals)
+        for left, right in self.ops:
+            sums.append(sums[left] + sums[right])
+        return sums
+
+    def child(self, sums: list[float], t: int, value: float) -> float:
+        """The root sum once leaf t of ``partials`` becomes ``value``, by the
+        additions a full re-sum makes on that path, in the same order."""
+        for s in self.paths[t]:
+            value += sums[s]
+        return value
 
 
 def theoretical_exponent(alpha: float) -> float:
@@ -199,7 +229,8 @@ def brute_force_select(arrays: Sequence[Sequence[float]], k: int, *,
 # ---------------------------------------------------------------------------
 
 def _tensor_children(idx: tuple[int, ...], dims: Sequence[int]):
-    """Children of an index tuple; each tuple has exactly one proposer.
+    """Children of an index tuple as ``(axis, new index)`` pairs: each child
+    differs from ``idx`` in that one axis, and has exactly one proposer.
 
     Last component above 1: advance only the last axis in heap order.
     Otherwise every axis from the rightmost component above 1 onward
@@ -210,7 +241,7 @@ def _tensor_children(idx: tuple[int, ...], dims: Sequence[int]):
     if last > 1:
         for c in (2 * last, 2 * last + 1):
             if c <= dims[-1]:
-                yield idx[:-1] + (c,)
+                yield m - 1, c
         return
     j = 0
     for t in range(m - 2, -1, -1):
@@ -219,11 +250,11 @@ def _tensor_children(idx: tuple[int, ...], dims: Sequence[int]):
             break
     for c in (2 * idx[j], 2 * idx[j] + 1):
         if c <= dims[j]:
-            yield idx[:j] + (c,) + idx[j + 1:]
+            yield j, c
     for t in range(j + 1, m):
         for c in (2, 3):
             if c <= dims[t]:
-                yield idx[:t] + (c,) + idx[t + 1:]
+                yield t, c
 
 
 def soft_tensor_select(arrays: Sequence[Sequence[float]], k: int, *,
@@ -233,21 +264,22 @@ def soft_tensor_select(arrays: Sequence[Sequence[float]], k: int, *,
     mats = _validated(arrays, k)  # ascending, so each axis is already a binary heap
     m = len(mats)
     dims = [len(h) for h in mats]
-
-    def value_of(idx: tuple[int, ...]) -> float:
-        return _balanced_sum([mats[t][idx[t] - 1] for t in range(m)])
+    tree = _SumTree(m)
 
     soft = SoftHeap(1.0 / (3 * m))
     seen = {(1,) * m} if debug_checks else None
-    soft.insert(value_of((1,) * m), (1,) * m)
+    soft.insert(tree.partials([a[0] for a in mats])[-1], (1,) * m)
 
     def propose(e) -> None:
-        for child in _tensor_children(e.payload, dims):
+        idx = e.payload
+        sums = tree.partials([mats[t][i - 1] for t, i in enumerate(idx)])
+        for t, c in _tensor_children(idx, dims):
+            child = idx[:t] + (c,) + idx[t + 1:]
             if seen is not None:
                 if child in seen:
                     raise AssertionError(f"tuple {child} proposed twice")
                 seen.add(child)
-            soft.insert(value_of(child), child)
+            soft.insert(tree.child(sums, t, mats[t][c - 1]), child)
 
     pool: list = []
     pop_and_pool(soft, k, pool, propose)
@@ -326,9 +358,10 @@ def sort_tensor_select(arrays: Sequence[Sequence[float]], k: int, *,
     mats = _validated(arrays, k)
     m = len(mats)
     dims = [len(a) for a in mats]
+    tree = _SumTree(m)
 
     root = (1,) * m
-    fringe: list[tuple[float, tuple[int, ...]]] = [(_balanced_sum([a[0] for a in mats]), root)]
+    fringe: list[tuple[float, tuple[int, ...]]] = [(tree.partials([a[0] for a in mats])[-1], root)]
     enqueued = {root}
     peak = 1
     pushes = 1
@@ -338,6 +371,7 @@ def sort_tensor_select(arrays: Sequence[Sequence[float]], k: int, *,
         val, idx = heapq.heappop(fringe)
         values.append(val)
         indices.append(idx)
+        sums = tree.partials([mats[t][i - 1] for t, i in enumerate(idx)])
         for t in range(m):
             step = idx[t] + 1
             if step > dims[t]:
@@ -346,7 +380,7 @@ def sort_tensor_select(arrays: Sequence[Sequence[float]], k: int, *,
             if nxt in enqueued:
                 continue
             enqueued.add(nxt)
-            heapq.heappush(fringe, (_balanced_sum([mats[u][nxt[u] - 1] for u in range(m)]), nxt))
+            heapq.heappush(fringe, (tree.child(sums, t, mats[t][step - 1]), nxt))
             pushes += 1
         if len(fringe) > peak:
             peak = len(fringe)

@@ -175,6 +175,27 @@ def test_cli_usage_errors(capsys):
     assert main(["--m", "2", "--n", "2", "--k", "50"]) == 1  # k > n^m
 
 
+def test_cli_oversized_generation_is_usage_error(monkeypatch, capsys):
+    # 10^10 x 10^10 float64 values fail NumPy's size check before any allocation
+    args = ["--algorithm", "sort-tree", "--m", "10000000000", "--n", "10000000000", "--k", "1"]
+    assert main(args) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("usage error:")
+
+    # an allocation that fails is refused the same way
+    class OutOfMemory:
+        def __init__(self, bit_generator):
+            pass
+
+        def random(self, size):
+            raise MemoryError(f"cannot allocate {size}")
+
+    monkeypatch.setattr(np.random, "Generator", OutOfMemory)
+    assert main(["--algorithm", "sort-tree", "--m", "2", "--n", "4", "--k", "1"]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("usage error:") and "cannot allocate" in err[0]
+
+
 def test_cli_parse_error(tmp_path, capsys):
     p = tmp_path / "bad.txt"
     p.write_text("1 oops\n")

@@ -14,12 +14,20 @@ fast-soft-tree call must repeat its values and every ``RunStats`` field;
 soft-tensor's corruption must stay within eps times its inserts; and the
 caller's inputs must be left as they were.  The first cases of one
 container also run in a child interpreter under ``python -O``.
+
+Run as a script, it sweeps more cases than tier-1 without pytest:
+
+    PYTHONPATH=src python tests/test_differential.py --cases 1000 --seed 1
+
+checks ``--cases`` cases of every container; seed 0 draws tier-1's cases.
 """
 
+import argparse
 import os
 import random
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -82,11 +90,12 @@ def _snapshot(arrays):
     return [a.copy() if isinstance(a, np.ndarray) else list(a) for a in arrays]
 
 
-def _check_cases(container, cases):
-    rng = random.Random(CONTAINERS.index(container))
+def _check_cases(container, cases, seed=0):
+    # seed 0 is tier-1's stream; each seed gives every container its own
+    rng = random.Random(CONTAINERS.index(container) + len(CONTAINERS) * seed)
     for case in range(cases):
         arrays, k, alpha, kind = make_case(rng, container)
-        where = (container, case, kind, [len(a) for a in arrays], k, alpha)
+        where = (container, seed, case, kind, [len(a) for a in arrays], k, alpha)
         before = _snapshot(arrays)
         expected = brute_force_select(arrays, k).values
         ascending = [sorted(np.asarray(a, dtype=np.float64).tolist()) for a in arrays]
@@ -145,3 +154,25 @@ def test_harness_under_optimize():
                            f"{os.path.abspath(__file__)}::test_harness_under_optimize"],
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description="Check every selector against the oracle "
+                                                 "on seeded cases of every input container.")
+    parser.add_argument("--cases", type=int, default=CASES_PER_CONTAINER,
+                        help="cases per container")
+    parser.add_argument("--seed", type=int, default=0, help="0 draws tier-1's cases")
+    args = parser.parse_args(argv)
+    if not __debug__:
+        parser.error("the checks are assert statements, which python -O strips")
+    if args.cases < 0 or args.seed < 0:
+        parser.error("--cases and --seed must be non-negative")
+    for container in CONTAINERS:
+        start = time.perf_counter()
+        _check_cases(container, args.cases, args.seed)
+        print(f"{container}: {args.cases} cases passed in {time.perf_counter() - start:.1f} s")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -128,12 +128,16 @@ def test_any_numeric_dtype_matches_oracle(arrays, k):
     [["1.5", "2"], [1.0]],
     [np.array(["1", "2"]), [1.0]],
     [["1.5", 2**70], [1.0]],
+    [np.array(["2020-01-01"], dtype="M8[D]"), [0.0]],
+    [np.array([1, 2], dtype="m8[s]"), [0.0]],
 ], ids=["sum-overflow", "string", "nested-axis", "ragged-axis", "int-past-float",
-        "complex", "numeric-strings", "string-ndarray", "string-in-object-axis"])
+        "complex", "numeric-strings", "string-ndarray", "string-in-object-axis",
+        "datetime64", "timedelta64"])
 @pytest.mark.filterwarnings("error")
 def test_boundary_rejects_unrepresentable_inputs(arrays):
-    # complex and text axes would convert to float64 (a complex one with only
-    # a ComplexWarning), so the boundary refuses them before converting
+    # complex, text, datetime and timedelta axes would convert to float64 (a
+    # complex one with only a ComplexWarning, a date as days since the epoch),
+    # so the boundary refuses them before converting
     for name, run in [("brute-force", _oracle)] + SELECTORS:
         with pytest.raises(ContractViolation):
             run(arrays, 1)
@@ -351,6 +355,23 @@ def test_sort_indices_resum_through_sorted_axes():
                 assert value == balanced_sum([ordered[t][i - 1] for t, i in enumerate(idx)])
 
 
+@pytest.mark.parametrize("m", [13, 64])
+def test_tensor_selectors_resum_at_wide_m(m):
+    # values spanning 16 decades make every grouping of the sum give other
+    # floats, so a tensor cell must be summed by the canonical tree exactly
+    rng = random.Random(47 + m)
+    for _ in range(10):
+        arrays = [[rng.uniform(-1, 1) * 10 ** rng.randint(-8, 8) for _ in range(rng.randint(2, 3))]
+                  for _ in range(m)]
+        k = rng.randint(1, 20)
+        ordered = [sorted(a) for a in arrays]
+        r = sort_tensor_select(arrays, k)
+        for value, idx in zip(r.values, r.indices):
+            assert value == balanced_sum([ordered[t][i - 1] for t, i in enumerate(idx)])
+        assert r.values == sort_tree_select(arrays, k).values
+        assert sorted(soft_tensor_select(arrays, k, debug_checks=True).values) == r.values
+
+
 def test_sort_tree_indices_off_by_default():
     assert sort_tree_select([[1.0, 2.0]], 1).indices is None
 
@@ -533,7 +554,7 @@ def merge_advances_both_margins():
 
 
 def tensor_proposes_twice():
-    sel._tensor_children = lambda idx, dims: [(2, 1), (2, 1)] if idx == (1, 1) else []
+    sel._tensor_children = lambda idx, dims: [(0, 2), (0, 2)] if idx == (1, 1) else []
     sel.soft_tensor_select([[1.0, 2.0], [1.0]], 2, debug_checks=True)
 
 
