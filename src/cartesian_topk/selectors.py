@@ -351,36 +351,49 @@ def sort_tensor_select(arrays: Sequence[Sequence[float]], k: int, *,
                        stats: RunStats | None = None) -> SelectionResult:
     """k smallest sums in ascending order, with index tuples.
 
-    A fringe of candidate index tuples grows from (1, ..., 1); each pop
-    appends the m successor tuples not already enqueued.  Indices address
-    the ascending order of each axis.
+    A fringe of candidate cells grows from (1, ..., 1); each pop pushes the
+    m successor cells not already enqueued.  Indices address the ascending
+    order of each axis.  The fringe keys a cell by its mixed-radix code
+    (axis 0 most significant, digit ``idx[t] - 1``): codes are unique and
+    order like the index tuples, so equal sums pop in index-tuple order,
+    and a successor's code is one addition.  A fringe entry keeps its
+    parent's tuple and the advanced axis; the cell's own tuple is built
+    only when it is popped.
     """
     mats = _validated(arrays, k)
     m = len(mats)
     dims = [len(a) for a in mats]
     tree = _SumTree(m)
+    strides = [1] * m
+    for t in range(m - 2, -1, -1):
+        strides[t] = strides[t + 1] * dims[t + 1]
 
     root = (1,) * m
-    fringe: list[tuple[float, tuple[int, ...]]] = [(tree.partials([a[0] for a in mats])[-1], root)]
-    enqueued = {root}
+    # (sum, code, parent tuple, advanced axis); the root has no parent
+    fringe: list[tuple] = [(tree.partials([a[0] for a in mats])[-1], 0, root, None)]
+    enqueued = {0}
     peak = 1
     pushes = 1
     values: list[float] = []
     indices: list[tuple[int, ...]] = []
     for _ in range(k):
-        val, idx = heapq.heappop(fringe)
+        val, code, parent, axis = heapq.heappop(fringe)
+        # every predecessor of a cell orders before it, so none pops later
+        # and proposes it again: ``enqueued`` need hold only the fringe
+        enqueued.remove(code)
+        idx = parent if axis is None else parent[:axis] + (parent[axis] + 1,) + parent[axis + 1:]
         values.append(val)
         indices.append(idx)
         sums = tree.partials([mats[t][i - 1] for t, i in enumerate(idx)])
         for t in range(m):
-            step = idx[t] + 1
-            if step > dims[t]:
+            i = idx[t]
+            if i == dims[t]:
                 continue
-            nxt = idx[:t] + (step,) + idx[t + 1:]
+            nxt = code + strides[t]
             if nxt in enqueued:
                 continue
             enqueued.add(nxt)
-            heapq.heappush(fringe, (tree.child(sums, t, mats[t][step - 1]), nxt))
+            heapq.heappush(fringe, (tree.child(sums, t, mats[t][i]), nxt, idx, t))
             pushes += 1
         if len(fringe) > peak:
             peak = len(fringe)
@@ -531,13 +544,16 @@ def fast_soft_tree_select(arrays: Sequence[Sequence[float]], k: int, alpha: floa
     while root.generated_count < k:
         root.generate_next_layer()
     if stats is not None:
+        generated = 0
         for depth, nodes in levels.items():
-            stats.generated_per_level[depth] = sum(n.generated_count for n in nodes)
+            count = sum(n.generated_count for n in nodes)
+            stats.generated_per_level[depth] = count
+            generated += count
             pair_nodes = [n for n in nodes if isinstance(n, PairSumNode)]
             if pair_nodes:
                 stats.pops_per_level[depth] = sum(n.pops_total for n in pair_nodes) / len(pair_nodes)
             for n in pair_nodes:
                 stats.corrupted_count += n.soft_heap.corrupted_count
                 stats.fringe_peak = max(stats.fringe_peak, n.soft_heap.peak_size)
-        stats.values_generated += sum(stats.generated_per_level.values())
+        stats.values_generated += generated
     return SelectionResult(values=select_k(root.values, k), sorted=False)

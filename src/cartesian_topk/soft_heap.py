@@ -16,6 +16,7 @@ reported through its return value.  Keys are never lowered.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Any, Callable
 
 from .errors import ContractViolation, ParameterError
@@ -113,7 +114,7 @@ class SoftHeap:
             raise ContractViolation("extract_min from an empty soft heap")
         fresh: list[SoftHeapEntry] = []
         self._consolidate(fresh)
-        root = min(self._trees.values(), key=lambda node: node.key)
+        root = min(self._trees.values(), key=operator.attrgetter("key"))  # first of equal keys
         entry = root.items.pop()
         self._size -= 1
         if not root.items:
@@ -168,31 +169,34 @@ class SoftHeap:
         return z
 
     def _fill(self, x: _Node, fresh: list[SoftHeapEntry]) -> None:
-        # Pull the item list up from the smaller-key child; entries already
-        # sitting at x get their keys raised to the new node key.
-        left, right = x.left, x.right
-        if right is not None and right.key < left.key:
-            x.left, x.right = right, left
-            left, right = right, left
-        new_key = left.key
-        if x.items:
-            if new_key > x.key:
-                for e in x.items:
-                    if not e.corrupted:
-                        e.corrupted = True
-                        fresh.append(e)
-                        self._corrupted.append(e)
-                    e.current_key = new_key
-            x.items.extend(left.items)
-        else:
-            x.items = left.items
-        x.key = new_key
-        left.items = []
-        if left.left is None:
-            x.left = x.right
-            x.right = None
-        else:
-            self._fill(left, fresh)
+        # Pull the item list up from the smaller-key child, then refill that
+        # child the same way, down to a leaf.  Entries already sitting at x
+        # get their keys raised to the new node key; the nodes below it on
+        # the path hold none, each having just been emptied.
+        while True:
+            left, right = x.left, x.right
+            if right is not None and right.key < left.key:
+                x.left, x.right = right, left
+                left = right
+            new_key = left.key
+            if x.items:
+                if new_key > x.key:
+                    for e in x.items:
+                        if not e.corrupted:
+                            e.corrupted = True
+                            fresh.append(e)
+                            self._corrupted.append(e)
+                        e.current_key = new_key
+                x.items.extend(left.items)
+            else:
+                x.items = left.items
+            x.key = new_key
+            left.items = []
+            if left.left is None:
+                x.left = x.right
+                x.right = None
+                return
+            x = left
 
 
 def pop_and_pool(soft: SoftHeap, pops: int, pool: list,

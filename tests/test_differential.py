@@ -9,7 +9,10 @@ lists of float or int, or as float64, float32, int64 or bool ndarrays.
 
 On every case all five selectors must return the oracle's values with
 ``==``, as Python floats; sort-tensor and sort-tree indices must map back
-to their values through the ascending axes; a second soft-tree and
+to their values through the ascending axes; sort-tree's
+``pops_per_level`` must equal criterion 8's NumPy reference and, where m
+is a power of two (every depth full), stay within the single-path
+ceiling (k + 3 * (2^d - 1)) / 2^d at depth d; a second soft-tree and
 fast-soft-tree call must repeat its values and every ``RunStats`` field;
 soft-tensor's corruption must stay within eps times its inserts; and the
 caller's inputs must be left as they were.  The first cases of one
@@ -35,6 +38,7 @@ import pytest
 from cartesian_topk import (RunStats, brute_force_select, fast_soft_tree_select,
                             soft_tensor_select, soft_tree_select, sort_tensor_select,
                             sort_tree_select)
+from test_acceptance import _reference_pops_per_level
 
 CONTAINERS = ("float-list", "int-list", "float64", "float32", "int64", "bool")
 KINDS = ("ties", "wide", "sorted", "reversed")
@@ -118,6 +122,11 @@ def _check_cases(container, cases, seed=0):
             resummed = [_balanced_sum([ax[i - 1] for ax, i in zip(ascending, idx)])
                         for idx in result.indices]
             assert resummed == result.values, (name, where)
+        pops = stats["sort-tree"].pops_per_level
+        assert pops == _reference_pops_per_level(arrays, k), where
+        m = len(arrays)
+        if m & (m - 1) == 0:
+            assert all(p <= (k + 3 * (2 ** d - 1)) / 2 ** d for d, p in pops.items()), where
         # soft-tree and fast-soft-tree carry a 1-D selection's output order
         # into later work, so a second call must repeat their values, in
         # order, and every counter

@@ -372,6 +372,36 @@ def test_tensor_selectors_resum_at_wide_m(m):
         assert sorted(soft_tensor_select(arrays, k, debug_checks=True).values) == r.values
 
 
+def test_sort_tensor_breaks_ties_by_index_tuple():
+    # the fringe orders cells by (sum, index tuple), so on tie-heavy axes
+    # the k cells it pops are the first k of every cell sorted that way
+    rng = random.Random(48)
+    for _ in range(300):
+        lengths, cells = [], 1
+        for _ in range(rng.randint(1, 9)):
+            lengths.append(rng.randint(1, min(6, 300 // cells)))
+            cells *= lengths[-1]
+        ordered = [sorted(float(rng.randint(0, 3)) for _ in range(n)) for n in lengths]
+        k = rng.randint(1, cells)
+        every = sorted((balanced_sum([ax[i - 1] for ax, i in zip(ordered, idx)]), idx)
+                       for idx in itertools.product(*(range(1, n + 1) for n in lengths)))
+        r = sort_tensor_select(ordered, k)
+        assert r.indices == [idx for _, idx in every[:k]]
+        assert r.values == [value for value, _ in every[:k]]
+
+
+def test_sort_tensor_at_m256():
+    # 4^256 cells: far past any fixed-width integer that could key a cell
+    rng = random.Random(49)
+    arrays = [[rng.uniform(-1, 1) * 10 ** rng.randint(-8, 8) for _ in range(4)]
+              for _ in range(256)]
+    ordered = [sorted(a) for a in arrays]
+    r = sort_tensor_select(arrays, 40)
+    assert r.values == sort_tree_select(arrays, 40).values
+    for value, idx in zip(r.values, r.indices):
+        assert value == balanced_sum([ordered[t][i - 1] for t, i in enumerate(idx)])
+
+
 def test_sort_tree_indices_off_by_default():
     assert sort_tree_select([[1.0, 2.0]], 1).indices is None
 
@@ -405,6 +435,23 @@ def test_fast_stats_levels():
     assert set(stats.generated_per_level) == {0, 1, 2, 3}
     assert stats.generated_per_level[0] >= 30
     assert stats.values_generated == sum(stats.generated_per_level.values())
+
+
+def test_fast_stats_reused_across_depths_add_this_calls_levels():
+    # a deeper call leaves levels a shallower one does not overwrite; the
+    # second call must add its own levels' total, not every level's
+    rng = random.Random(50)
+    deep = [[rng.random() for _ in range(6)] for _ in range(8)]
+    shallow = [[rng.random() for _ in range(6)] for _ in range(2)]
+    separate = []
+    for arrays in (deep, shallow):
+        stats = RunStats()
+        fast_soft_tree_select(arrays, 20, 1.2, stats=stats)
+        separate.append(stats.values_generated)
+    shared = RunStats()
+    fast_soft_tree_select(deep, 20, 1.2, stats=shared)
+    fast_soft_tree_select(shallow, 20, 1.2, stats=shared)
+    assert shared.values_generated == sum(separate)
 
 
 # -- golden counters -----------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import Counter
 
@@ -118,6 +119,41 @@ def test_adversarial_interleavings_respect_bound():
                 assert h.corrupted_count <= eps * h.insert_count
             removed.extend(e.original_key for e in h.drain())
             assert Counter(removed) == Counter(inserted)
+
+
+def _tie_heavy_trace(eps, seed, steps):
+    # bursts of 1-4 inserts of integer keys 0-3, each payload its insert
+    # number, interleaved with single extractions; then extract to empty
+    rng = random.Random(seed)
+    h = SoftHeap(eps)
+    events = []
+    payload = 0
+    for _ in range(steps):
+        if h.size == 0 or rng.random() < 0.4:
+            for _ in range(rng.randint(1, 4)):
+                h.insert(float(rng.randint(0, 3)), payload)
+                payload += 1
+        else:
+            entry, fresh = h.extract_min()
+            events.append((entry.payload, [e.payload for e in fresh]))
+    while h.size:
+        entry, fresh = h.extract_min()
+        events.append((entry.payload, [e.payload for e in fresh]))
+    digest = hashlib.sha256(repr(events).encode()).hexdigest()
+    return digest, h.corrupted_count, h.peak_size, h.insert_count
+
+
+@pytest.mark.parametrize("eps, seed, steps, expected", [
+    (0.25, 1, 3000,
+     ("d433c750d3a0eb30d6d3d8887282286af4fb3c7977979051be0ee85f5e45c52f", 87, 1258, 3029)),
+    (1 / 192, 2, 12000,
+     ("fdd591a608395f602098d52467740d5f0acc639460dcd96aaa070b7f3be5e5b6", 7, 4890, 12092)),
+])
+def test_golden_tie_heavy_trace(eps, seed, steps, expected):
+    # every extracted payload and the payloads each extraction first
+    # reported corrupted, in order, pin which entry wins each tie and which
+    # entries a refill corrupts; eps 1/192 is soft-tensor's at m=64
+    assert _tie_heavy_trace(eps, seed, steps) == expected
 
 
 def test_drain_empty():
