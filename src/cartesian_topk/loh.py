@@ -10,8 +10,8 @@ parent/child offset arithmetic between adjacent layers, and
 on demand: it keeps the generated values, layer count and running
 maxima, and answers every query about them, while ``LeafGenerator``
 and ``pairwise.PairSumNode`` only say how the next layer is made.
-A leaf sorts a copy of its array once and slices each layer off it
-when asked for it.
+A leaf slices each layer off an ``AscendingPrefix``, its axis realized
+in ascending order only as far as it is read.
 """
 
 from __future__ import annotations
@@ -20,8 +20,10 @@ import math
 from bisect import bisect_left
 from typing import Sequence
 
+import numpy as np
+
 from .errors import ContractViolation, ParameterError
-from .select1d import split_at
+from .select1d import AscendingPrefix, split_at
 
 
 class LayerSchedule:
@@ -275,26 +277,28 @@ class LohGenerator:
 
 
 class LeafGenerator(LohGenerator):
-    """Generator over a fixed array that slices a sorted copy into layers.
+    """Generator over a fixed axis that slices its ascending prefix into layers.
 
-    The constructor sorts a copy of the array once, leaving the caller's
-    sequence untouched, and makes the first layer.  Each layer is the
-    next ``schedule.size(i)`` values of that copy, so the generated
-    prefix is sorted, a valid layer order at any alpha.
+    ``values`` is an ``AscendingPrefix``, or a sequence whose float64 copy
+    is read into one, so later changes to the caller's sequence never reach it.
+    Each layer is the next ``schedule.size(i)`` values of the prefix, so
+    the generated prefix is sorted, a valid layer order at any alpha.
+    The constructor makes the first layer.
     """
 
-    __slots__ = ("_sorted",)
+    __slots__ = ("_axis",)
 
-    def __init__(self, values: Sequence[float], alpha: float):
-        ordered = sorted(values)
-        if not ordered:
+    def __init__(self, values: Sequence[float] | AscendingPrefix, alpha: float):
+        axis = values if isinstance(values, AscendingPrefix) else AscendingPrefix(
+            np.array(values, dtype=np.float64))
+        if not axis.n:
             raise ContractViolation("cannot generate layers from an empty sequence")
-        super().__init__([], LayerSchedule(alpha, len(ordered)))
-        self._sorted = ordered
+        super().__init__([], LayerSchedule(alpha, axis.n))
+        self._axis = axis
         self.generate_next_layer()
 
     def generate_next_layer(self) -> None:
         if self.has_more_layers():
             end = self.schedule.total(self.layer_count + 1)
-            self.values.extend(self._sorted[self.generated_count:end])
+            self.values.extend(self._axis.reach(end)[self.generated_count:end])
             self._close_layer()

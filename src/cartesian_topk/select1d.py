@@ -5,7 +5,8 @@ deterministic and linear in the worst case, so every result and every
 counter built on it depends on the input alone.  ``select_k`` is one
 such split; ``select_k_loh`` implements the same contract by repeatedly
 partitioning into geometrically growing layers and recursing into the
-layer that overshoots the selection threshold.
+layer that overshoots the selection threshold.  ``AscendingPrefix``
+sorts an array only as far as it is read, one partition per growth.
 
 Values are compared and returned as the array NumPy builds from them,
 so a list mixing floats with ints past 2**53 may be compared after
@@ -52,6 +53,32 @@ def select_k(values: Sequence[float], k: int) -> list:
         raise ContractViolation(f"k={k} outside [1, {n}]")
     split_at(vals, 0, n, k)
     return vals[:k]
+
+
+class AscendingPrefix:
+    """An axis realized in ascending order only as far as it is read: hot
+    loops index ``values``, the smallest values of the float64 ``row`` (of
+    length ``n``, read again on each growth, not copied) as Python floats,
+    and call ``reach`` on a miss.  Equal values keep no order, so ``-0.0``
+    and ``0.0`` may trade places."""
+
+    __slots__ = ("row", "values", "n")
+
+    def __init__(self, row: Sequence[float]):
+        self.row = np.asarray(row, dtype=np.float64)
+        self.n = self.row.size
+        self.values: list[float] = []
+        self.reach(16)  # sort-tree leaves on the paper's shape read about 3
+
+    def reach(self, count: int) -> list[float]:
+        """``values``, extended on a miss to min(max(count, 2 len), n) entries."""
+        have = len(self.values)
+        if have < count and have < self.n:
+            want = min(max(count, 2 * have), self.n)
+            block = np.partition(self.row, want - 1)[:want]
+            block.sort()
+            self.values.extend(block[have:].tolist())
+        return self.values
 
 
 def select_k_loh(values: Sequence[float], k: int, alpha: float) -> list:

@@ -9,8 +9,8 @@ and tree-of-fringes respectively); ``fast_soft_tree_select`` stacks
 layer-ordered-heap pair-sum generators into a tree so sibling work stays
 near k+1 values per node.
 
-All six convert and check each axis once, to float64, in ``_checked``;
-the selectors then read one ascending list of Python floats per axis.
+All six convert and check each axis once, to float64, in ``_checked``; the
+selectors then read it as a lazily sorted ``select1d.AscendingPrefix``.
 Every algorithm sums an index tuple with the same balanced grouping
 (left half = first ceil(m/2) axes), so equal index tuples give
 bit-identical floats across algorithms and the oracle, and outputs can
@@ -31,7 +31,7 @@ import numpy as np
 from .errors import ContractViolation, GuardError, ParameterError
 from .loh import LeafGenerator, LohGenerator
 from .pairwise import PairSumNode, soft_select_pairwise
-from .select1d import select_k
+from .select1d import AscendingPrefix, select_k
 from .soft_heap import SoftHeap, pop_and_pool
 
 DEFAULT_GUARD = 10_000_000
@@ -61,10 +61,10 @@ class RunStats:
     when it enqueues the successor cell, so a node asked for p values asks
     each child for 1 + the deepest (1-based) index it used;
     generated_per_level totals layer-generator output per depth for the
-    layered tree method.
-
-    The other three counters measure a different unit of work in each
-    selector, so they compare runs of one selector, not two selectors:
+    layered tree method.  Every call replaces both per-level fields, so
+    they describe the last call; the other three counters add up over
+    calls, and each measures a different unit of work in each selector,
+    so they compare runs of one selector, not two selectors:
 
     - ``values_generated``: soft-tensor counts soft-heap inserts (tensor
       cells whose sum was evaluated); soft-tree counts the values every
@@ -131,10 +131,13 @@ def _checked(arrays: Sequence[Sequence[float]], k: int) -> list[np.ndarray]:
     return axes
 
 
-def _validated(arrays: Sequence[Sequence[float]], k: int) -> list[list[float]]:
-    """Checked axes as ascending lists of Python floats, which every leaf
-    indexes directly: a sorted list is a valid binary heap and layer order."""
-    return [np.sort(axis).tolist() for axis in _checked(arrays, k)]
+def _validated(arrays: Sequence[Sequence[float]], k: int,
+               stats: RunStats | None) -> list[AscendingPrefix]:
+    """Checked axes as ascending prefixes (a sorted list is a valid binary heap
+    and layer order); each call starts ``stats`` on empty per-level fields."""
+    if stats is not None:
+        stats.pops_per_level, stats.generated_per_level = {}, {}
+    return [AscendingPrefix(axis) for axis in _checked(arrays, k)]
 
 
 def _left_size(count: int) -> int:
@@ -261,9 +264,10 @@ def soft_tensor_select(arrays: Sequence[Sequence[float]], k: int, *,
                        stats: RunStats | None = None,
                        debug_checks: bool = False) -> SelectionResult:
     """k smallest sums via one soft heap over m-dimensional index tuples."""
-    mats = _validated(arrays, k)  # ascending, so each axis is already a binary heap
+    axes = _validated(arrays, k, stats)  # ascending, so each axis is already a binary heap
+    mats = [a.values for a in axes]
     m = len(mats)
-    dims = [len(h) for h in mats]
+    dims = [a.n for a in axes]
     tree = _SumTree(m)
 
     soft = SoftHeap(1.0 / (3 * m))
@@ -279,7 +283,11 @@ def soft_tensor_select(arrays: Sequence[Sequence[float]], k: int, *,
                 if child in seen:
                     raise AssertionError(f"tuple {child} proposed twice")
                 seen.add(child)
-            soft.insert(tree.child(sums, t, mats[t][c - 1]), child)
+            try:
+                value = mats[t][c - 1]
+            except IndexError:  # heap children jump past the realized prefix
+                value = axes[t].reach(c)[c - 1]
+            soft.insert(tree.child(sums, t, value), child)
 
     pool: list = []
     pop_and_pool(soft, k, pool, propose)
@@ -302,15 +310,12 @@ def soft_tree_select(arrays: Sequence[Sequence[float]], k: int, *,
     enough: siblings jointly contribute at most k+1 distinct source
     values to any k-selection on their sum.
     """
-    mats = _validated(arrays, k)
+    axes = _validated(arrays, k, stats)
 
     def run(lo: int, hi: int) -> list:
-        count = 1
-        for arr in mats[lo:hi]:
-            count *= len(arr)
-        want = min(k, count)
+        want = min(k, math.prod(a.n for a in axes[lo:hi]))
         if hi - lo == 1:
-            out = mats[lo][:want]
+            out = axes[lo].reach(want)[:want]
         else:
             mid = lo + _left_size(hi - lo)
             out = soft_select_pairwise(run(lo, mid), run(mid, hi), want, stats=stats)
@@ -318,7 +323,7 @@ def soft_tree_select(arrays: Sequence[Sequence[float]], k: int, *,
             stats.values_generated += len(out)
         return out
 
-    return SelectionResult(values=run(0, len(mats)), sorted=False)
+    return SelectionResult(values=run(0, len(axes)), sorted=False)
 
 
 # ---------------------------------------------------------------------------
@@ -328,20 +333,18 @@ def soft_tree_select(arrays: Sequence[Sequence[float]], k: int, *,
 class _SortLeaf:
     """Sort-tree leaf over one ascending axis: each pop reads the next value."""
 
-    __slots__ = ("values", "pop_count", "total")
+    __slots__ = ("axis", "pop_count")
 
-    def __init__(self, values: list):
-        self.values = values
+    def __init__(self, axis: AscendingPrefix):
+        self.axis = axis
         self.pop_count = 0
-        self.total = len(values)
 
     def has_more(self) -> bool:
-        return self.pop_count < self.total
+        return self.pop_count < self.axis.n
 
     def pop_next(self) -> float:
-        v = self.values[self.pop_count]
         self.pop_count += 1
-        return v
+        return self.axis.reach(self.pop_count)[self.pop_count - 1]
 
     def index_of(self, t: int) -> tuple[int, ...]:
         return (t,)
@@ -360,9 +363,10 @@ def sort_tensor_select(arrays: Sequence[Sequence[float]], k: int, *,
     parent's tuple and the advanced axis; the cell's own tuple is built
     only when it is popped.
     """
-    mats = _validated(arrays, k)
+    axes = _validated(arrays, k, stats)
+    mats = [a.values for a in axes]
     m = len(mats)
-    dims = [len(a) for a in mats]
+    dims = [a.n for a in axes]
     tree = _SumTree(m)
     strides = [1] * m
     for t in range(m - 2, -1, -1):
@@ -393,7 +397,11 @@ def sort_tensor_select(arrays: Sequence[Sequence[float]], k: int, *,
             if nxt in enqueued:
                 continue
             enqueued.add(nxt)
-            heapq.heappush(fringe, (tree.child(sums, t, mats[t][i]), nxt, idx, t))
+            try:
+                value = mats[t][i]
+            except IndexError:
+                value = axes[t].reach(i + 1)[i]
+            heapq.heappush(fringe, (tree.child(sums, t, value), nxt, idx, t))
             pushes += 1
         if len(fringe) > peak:
             peak = len(fringe)
@@ -430,14 +438,12 @@ class _SortMerge:
     (at most one margin advances), which the assertion below enforces.
     """
 
-    __slots__ = ("left", "right", "a", "b", "fringe", "enqueued", "history",
-                 "total", "gauge")
+    __slots__ = ("left", "right", "a", "b", "fringe", "enqueued", "history", "gauge")
 
     def __init__(self, left, right, gauge: _FringeGauge):
         self.left = left
         self.right = right
         self.gauge = gauge
-        self.total = left.total * right.total
         self.a = [left.pop_next()]
         self.b = [right.pop_next()]
         self.fringe: list[tuple[float, int, int]] = [(self.a[0] + self.b[0], 1, 1)]
@@ -450,7 +456,7 @@ class _SortMerge:
         return len(self.history)
 
     def has_more(self) -> bool:
-        return len(self.history) < self.total
+        return bool(self.fringe)  # the fringe empties only once every cell has popped
 
     def pop_next(self) -> float:
         val, i, j = heapq.heappop(self.fringe)
@@ -486,20 +492,20 @@ def sort_tree_select(arrays: Sequence[Sequence[float]], k: int,
                      want_indices: bool = False, *,
                      stats: RunStats | None = None) -> SelectionResult:
     """k smallest sums in ascending order via a balanced tree of merges."""
-    mats = _validated(arrays, k)
+    axes = _validated(arrays, k, stats)
     gauge = _FringeGauge()
     levels: dict[int, list] = {}
 
     def build(lo: int, hi: int, depth: int):
         if hi - lo == 1:
-            node = _SortLeaf(mats[lo])
+            node = _SortLeaf(axes[lo])
         else:
             mid = lo + _left_size(hi - lo)
             node = _SortMerge(build(lo, mid, depth + 1), build(mid, hi, depth + 1), gauge)
         levels.setdefault(depth, []).append(node)
         return node
 
-    root = build(0, len(mats), 0)
+    root = build(0, len(axes), 0)
     values = [root.pop_next() for _ in range(k)]
     indices = [root.index_of(t) for t in range(1, k + 1)] if want_indices else None
     if stats is not None:
@@ -526,12 +532,12 @@ def fast_soft_tree_select(arrays: Sequence[Sequence[float]], k: int, alpha: floa
     """
     if not 1.0 < alpha < 2.0:
         raise ParameterError(f"alpha must lie in (1, 2), got {alpha}")
-    mats = _validated(arrays, k)
+    axes = _validated(arrays, k, stats)
     levels: dict[int, list[LohGenerator]] = {}
 
     def build(lo: int, hi: int, depth: int) -> LohGenerator:
         if hi - lo == 1:
-            node: LohGenerator = LeafGenerator(mats[lo], alpha)
+            node: LohGenerator = LeafGenerator(axes[lo], alpha)
         else:
             mid = lo + _left_size(hi - lo)
             left = build(lo, mid, depth + 1)
@@ -540,20 +546,17 @@ def fast_soft_tree_select(arrays: Sequence[Sequence[float]], k: int, alpha: floa
         levels.setdefault(depth, []).append(node)
         return node
 
-    root = build(0, len(mats), 0)
+    root = build(0, len(axes), 0)
     while root.generated_count < k:
         root.generate_next_layer()
     if stats is not None:
-        generated = 0
         for depth, nodes in levels.items():
-            count = sum(n.generated_count for n in nodes)
-            stats.generated_per_level[depth] = count
-            generated += count
+            stats.generated_per_level[depth] = sum(n.generated_count for n in nodes)
             pair_nodes = [n for n in nodes if isinstance(n, PairSumNode)]
             if pair_nodes:
                 stats.pops_per_level[depth] = sum(n.pops_total for n in pair_nodes) / len(pair_nodes)
             for n in pair_nodes:
                 stats.corrupted_count += n.soft_heap.corrupted_count
                 stats.fringe_peak = max(stats.fringe_peak, n.soft_heap.peak_size)
-        stats.values_generated += generated
+        stats.values_generated += sum(stats.generated_per_level.values())
     return SelectionResult(values=select_k(root.values, k), sorted=False)

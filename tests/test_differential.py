@@ -6,6 +6,10 @@ the inputs the API accepts: m from 1 to 9 with uneven axis lengths up to
 integers 0-3, wide-range floats, presorted and reversed axes; k = 1,
 k = total or a random k; alpha 1.05, 1.1, 1.5 or 1.9; and axes given as
 lists of float or int, or as float64, float32, int64 or bool ndarrays.
+A second stream per container draws equal-length axes and adds axes
+mixing ``-0.0`` and ``0.0``, whose sums may come out with either sign;
+the ``2d-ndarray`` container passes them as one float64 2-D ndarray and
+has only this stream.
 
 On every case all five selectors must return the oracle's values with
 ``==``, as Python floats; sort-tensor and sort-tree indices must map back
@@ -22,7 +26,8 @@ Run as a script, it sweeps more cases than tier-1 without pytest:
 
     PYTHONPATH=src python tests/test_differential.py --cases 1000 --seed 1
 
-checks ``--cases`` cases of every container; seed 0 draws tier-1's cases.
+checks ``--cases`` cases of every container in each stream; seed 0
+draws tier-1's cases.
 """
 
 import argparse
@@ -40,24 +45,28 @@ from cartesian_topk import (RunStats, brute_force_select, fast_soft_tree_select,
                             sort_tree_select)
 from test_acceptance import _reference_pops_per_level
 
-CONTAINERS = ("float-list", "int-list", "float64", "float32", "int64", "bool")
+CONTAINERS = ("float-list", "int-list", "float64", "float32", "int64", "bool", "2d-ndarray")
 KINDS = ("ties", "wide", "sorted", "reversed")
+EQUAL_LENGTH_KINDS = KINDS + ("signed-zero",)
 ALPHAS = (1.05, 1.1, 1.5, 1.9)
 MAX_CELLS = 300
 CASES_PER_CONTAINER = 100
+EQUAL_LENGTH_CASES = 50
 OPTIMIZED_CASES = 50
 
 
 def _axis(rng, kind, n, container):
     if kind == "ties":
         vals = [rng.randint(0, 3) for _ in range(n)]
+    elif kind == "signed-zero":
+        vals = [rng.choice((-0.0, 0.0, -0.0, 0.0, 1.0, -1.5)) for _ in range(n)]
     elif kind == "wide":
         vals = [rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-6, 6) for _ in range(n)]
     else:
         vals = sorted(rng.uniform(-10.0, 10.0) for _ in range(n))
         if kind == "reversed":
             vals.reverse()
-    if container == "float-list":
+    if container in ("float-list", "2d-ndarray"):
         return [float(v) for v in vals]
     if container == "int-list":
         return [round(v) for v in vals]
@@ -68,16 +77,24 @@ def _axis(rng, kind, n, container):
     return np.array(vals, dtype=np.float64 if container == "float64" else np.float32)
 
 
-def make_case(rng, container):
+def make_case(rng, container, equal_length=False):
     """One (arrays, k, alpha, kind) case with at most MAX_CELLS tensor cells."""
-    lengths, cells = [], 1
-    for _ in range(rng.randint(1, 9)):
-        n = rng.randint(1, min(40, MAX_CELLS // cells))
-        lengths.append(n)
-        cells *= n
-    rng.shuffle(lengths)
-    kind = rng.choice(KINDS)
+    if equal_length:
+        m = rng.randint(1, 9)
+        n = rng.randint(1, max(n for n in range(1, 41) if n ** m <= MAX_CELLS))
+        lengths, cells = [n] * m, n ** m
+        kind = rng.choice(EQUAL_LENGTH_KINDS)
+    else:
+        lengths, cells = [], 1
+        for _ in range(rng.randint(1, 9)):
+            n = rng.randint(1, min(40, MAX_CELLS // cells))
+            lengths.append(n)
+            cells *= n
+        rng.shuffle(lengths)
+        kind = rng.choice(KINDS)
     arrays = [_axis(rng, kind, n, container) for n in lengths]
+    if container == "2d-ndarray":
+        arrays = np.array(arrays, dtype=np.float64)
     k = rng.choice((1, cells, rng.randint(1, cells)))
     return arrays, k, rng.choice(ALPHAS), kind
 
@@ -91,15 +108,19 @@ def _balanced_sum(vals):
 
 
 def _snapshot(arrays):
+    if isinstance(arrays, np.ndarray):
+        return arrays.copy()
     return [a.copy() if isinstance(a, np.ndarray) else list(a) for a in arrays]
 
 
-def _check_cases(container, cases, seed=0):
-    # seed 0 is tier-1's stream; each seed gives every container its own
-    rng = random.Random(CONTAINERS.index(container) + len(CONTAINERS) * seed)
+def _check_cases(container, cases, seed=0, equal_length=False):
+    # seed 0 is tier-1's stream; each seed, and the equal-length stream of
+    # each seed, gives every container its own
+    base = CONTAINERS.index(container) + len(CONTAINERS) * seed
+    rng = random.Random(base + 10**6 if equal_length else base)
     for case in range(cases):
-        arrays, k, alpha, kind = make_case(rng, container)
-        where = (container, seed, case, kind, [len(a) for a in arrays], k, alpha)
+        arrays, k, alpha, kind = make_case(rng, container, equal_length)
+        where = (container, equal_length, seed, case, kind, [len(a) for a in arrays], k, alpha)
         before = _snapshot(arrays)
         expected = brute_force_select(arrays, k).values
         ascending = [sorted(np.asarray(a, dtype=np.float64).tolist()) for a in arrays]
@@ -136,13 +157,19 @@ def _check_cases(container, cases, seed=0):
             assert again == stats[name], (name, where)
         soft = stats["soft-tensor"]
         assert soft.corrupted_count <= soft.values_generated / (3 * len(arrays)), where
+        assert type(arrays) is type(before), where
         for a, b in zip(arrays, before):
             assert type(a) is type(b) and np.array_equal(a, b), where
 
 
-@pytest.mark.parametrize("container", CONTAINERS)
+@pytest.mark.parametrize("container", CONTAINERS[:-1])
 def test_selectors_match_oracle(container):
     _check_cases(container, CASES_PER_CONTAINER)
+
+
+@pytest.mark.parametrize("container", CONTAINERS)
+def test_selectors_match_oracle_on_equal_lengths(container):
+    _check_cases(container, EQUAL_LENGTH_CASES, equal_length=True)
 
 
 def test_harness_under_optimize():
@@ -178,8 +205,11 @@ def main(argv=None):
         parser.error("--cases and --seed must be non-negative")
     for container in CONTAINERS:
         start = time.perf_counter()
-        _check_cases(container, args.cases, args.seed)
-        print(f"{container}: {args.cases} cases passed in {time.perf_counter() - start:.1f} s")
+        uneven = 0 if container == "2d-ndarray" else args.cases
+        _check_cases(container, uneven, args.seed)
+        _check_cases(container, args.cases, args.seed, equal_length=True)
+        print(f"{container}: {uneven} uneven and {args.cases} equal-length cases passed "
+              f"in {time.perf_counter() - start:.1f} s")
     return 0
 
 

@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from cartesian_topk import (ContractViolation, LayerOrderedHeap, LayerSchedule,
@@ -269,3 +270,16 @@ def test_leaf_generator_pops_layers_lazily():
     assert vals == before
     with pytest.raises(ContractViolation):
         LeafGenerator([], 1.1)
+
+
+@pytest.mark.parametrize("container", ["list", "float64-ndarray"])
+def test_leaf_generator_keeps_its_own_copy(container):
+    # a leaf realizes its axis lazily, so it reads its own copy: a caller
+    # that reuses its buffer between layers changes none of the layers
+    vals = [float(v) for v in range(100, 0, -1)]
+    source = list(vals) if container == "list" else np.array(vals)
+    gen = LeafGenerator(source, 1.5)
+    source[:] = [-1.0] * 100
+    while gen.has_more_layers():
+        gen.generate_next_layer()
+    assert gen.values == sorted(vals)

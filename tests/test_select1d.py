@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 
 from cartesian_topk import ContractViolation, ParameterError, select_k, select_k_loh
-from cartesian_topk.select1d import split_smallest
+from cartesian_topk.select1d import AscendingPrefix, split_smallest
 
 
 def test_singleton():
@@ -68,6 +68,24 @@ def test_split_smallest_partitions_exactly():
     low, high = split_smallest(vals, 2)
     assert sorted(low) == [1.0, 1.0]
     assert Counter(low + high) == Counter(vals)
+
+
+def test_ascending_prefix_grows_on_demand():
+    # starts at the 16 smallest values, and a miss grows the same list to
+    # max(count, twice its length), capped at n; the caller's list stays
+    rng = random.Random(9)
+    vals = [float(rng.randint(0, 30)) for _ in range(100)]
+    before = list(vals)
+    prefix = AscendingPrefix(vals)
+    values = prefix.values
+    assert prefix.n == 100 and values == sorted(vals)[:16]
+    for count, size in ((16, 16), (17, 32), (40, 64), (64, 64), (65, 100), (500, 100)):
+        assert prefix.reach(count) is values and len(values) == size
+        assert values == sorted(vals)[:size]
+        assert all(type(v) is float for v in values)
+    assert vals == before
+    assert AscendingPrefix([3, 1]).values == [1.0, 3.0]
+    assert AscendingPrefix([]).reach(1) == []
 
 
 def test_loh_select_descending_input():

@@ -118,28 +118,56 @@ def test_any_numeric_dtype_matches_oracle(arrays, k):
         assert all(type(v) is float for v in got + expected), name
 
 
-@pytest.mark.parametrize("arrays", [
-    [[1e308, 1e308], [1e308]],
-    [[1.0, "x"], [1.0]],
-    [[[1.0, 2.0]], [1.0]],
-    [[1.0, [2.0]], [1.0]],
-    [[10**400], [1]],
-    [np.array([1 + 2j, 3.0]), [1.0]],
-    [["1.5", "2"], [1.0]],
-    [np.array(["1", "2"]), [1.0]],
-    [["1.5", 2**70], [1.0]],
-    [np.array(["2020-01-01"], dtype="M8[D]"), [0.0]],
-    [np.array([1, 2], dtype="m8[s]"), [0.0]],
-], ids=["sum-overflow", "string", "nested-axis", "ragged-axis", "int-past-float",
-        "complex", "numeric-strings", "string-ndarray", "string-in-object-axis",
-        "datetime64", "timedelta64"])
+_UNREPRESENTABLE = [
+    # (id, arrays, what the message must name); each ragged case has
+    # equal-length or 2-D ndarray variants, with the bad axis not always first
+    ("sum-overflow", [[1e308, 1e308], [1e308]], "overflows"),
+    ("string", [[1.0, "x"], [1.0]], r"\barray 0\b"),
+    ("nested-axis", [[[1.0, 2.0]], [1.0]], r"\barray 0\b"),
+    ("ragged-axis", [[1.0, [2.0]], [1.0]], r"\barray 0\b"),
+    ("int-past-float", [[10**400], [1]], r"\barray 0\b"),
+    ("complex", [np.array([1 + 2j, 3.0]), [1.0]], r"\barray 0\b"),
+    ("numeric-strings", [["1.5", "2"], [1.0]], r"\barray 0\b"),
+    ("string-ndarray", [np.array(["1", "2"]), [1.0]], r"\barray 0\b"),
+    ("string-in-object-axis", [["1.5", 2**70], [1.0]], r"\barray 0\b"),
+    ("datetime64", [np.array(["2020-01-01"], dtype="M8[D]"), [0.0]], r"\barray 0\b"),
+    ("timedelta64", [np.array([1, 2], dtype="m8[s]"), [0.0]], r"\barray 0\b"),
+    ("sum-overflow-equal", [[1e308, 1e308], [1.0, 1e308]], "overflows"),
+    ("sum-overflow-2-d-ndarray", np.array([[1e308, 1e308], [1.0, 1e308]]), "overflows"),
+    ("string-equal", [[1.0, 2.0], [1.0, "x"]], r"\barray 1\b"),
+    ("nested-axis-equal", [[[1.0, 2.0]], [[1.0, 2.0]]], r"\barray 0\b"),
+    ("int-past-float-equal", [[1, 2], [10**400, 3]], r"\barray 1\b"),
+    ("complex-equal", [np.array([1.0, 2.0]), np.array([1 + 2j, 3.0])], r"\barray 1\b"),
+    ("complex-2-d-ndarray", np.array([[1.0, 2.0], [1 + 2j, 3.0]]), r"\barray 0\b"),
+    ("numeric-strings-equal", [[1.0, 2.0], ["1.5", "2"]], r"\barray 1\b"),
+    ("string-2-d-ndarray", np.array([["1", "2"], ["3", "4"]]), r"\barray 0\b"),
+    ("string-in-object-axis-equal", [[1.0, 2.0], ["1.5", 2**70]], r"\barray 1\b"),
+    ("datetime64-equal", [np.array([0.0, 1.0]), np.array(["2020-01-01", "2020-01-02"], dtype="M8[D]")],
+     r"\barray 1\b"),
+    ("timedelta64-2-d-ndarray", np.array([[1, 2], [3, 4]], dtype="m8[s]"), r"\barray 0\b"),
+]
+
+
+@pytest.mark.parametrize("arrays,match", [case[1:] for case in _UNREPRESENTABLE],
+                         ids=[case[0] for case in _UNREPRESENTABLE])
 @pytest.mark.filterwarnings("error")
-def test_boundary_rejects_unrepresentable_inputs(arrays):
+def test_boundary_rejects_unrepresentable_inputs(arrays, match):
     # complex, text, datetime and timedelta axes would convert to float64 (a
     # complex one with only a ComplexWarning, a date as days since the epoch),
     # so the boundary refuses them before converting
     for name, run in [("brute-force", _oracle)] + SELECTORS:
-        with pytest.raises(ContractViolation):
+        with pytest.raises(ContractViolation, match=match):
+            run(arrays, 1)
+
+
+@pytest.mark.parametrize("arrays,match", [
+    ([[1.0], [2.0, float("nan")]], "array 1 .* got nan"),
+    ([[1.0, 2.0], [float("inf"), 1.0], [float("nan"), 0.0]], "array 1 .* got inf"),
+    (np.array([[1.0, 2.0], [3.0, 4.0], [5.0, -np.inf]]), "array 2 .* got -inf"),
+], ids=["ragged", "equal-length-lists", "2-d-ndarray"])
+def test_boundary_rejects_non_finite_naming_the_axis(arrays, match):
+    for name, run in [("brute-force", _oracle)] + SELECTORS:
+        with pytest.raises(ParameterError, match=match):
             run(arrays, 1)
 
 
@@ -531,6 +559,49 @@ def test_identical_calls_repeat_values_and_run_stats():
         assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0], name
 
 
+@pytest.mark.parametrize("name", sorted(_GOLDEN_RUNNERS))
+def test_reused_run_stats_levels_describe_the_last_call(name):
+    # one object through an m=8 fast-soft-tree call (both per-level fields
+    # filled at depths 0-3), an m=8 and an m=2 call: the per-level fields
+    # equal the m=2 call's alone, and the other counters add up
+    rng = random.Random(50)
+    deep = [[rng.random() for _ in range(6)] for _ in range(8)]
+    shallow = [[rng.random() for _ in range(6)] for _ in range(2)]
+    calls = [(_GOLDEN_RUNNERS["fast-soft-tree"], deep), (_GOLDEN_RUNNERS[name], deep),
+             (_GOLDEN_RUNNERS[name], shallow)]
+    alone = []
+    for run, arrays in calls:
+        alone.append(RunStats())
+        run(arrays, 20, alone[-1])
+    shared = RunStats()
+    for run, arrays in calls:
+        run(arrays, 20, shared)
+    assert shared.pops_per_level == alone[-1].pops_per_level
+    assert shared.generated_per_level == alone[-1].generated_per_level
+    assert shared.values_generated == sum(s.values_generated for s in alone)
+    assert shared.corrupted_count == sum(s.corrupted_count for s in alone)
+    assert shared.fringe_peak == max(s.fringe_peak for s in alone)
+
+
+def test_sort_tree_leaves_realize_only_what_they_read(monkeypatch):
+    # the paper's m=64, n=1024, k=512 case: a leaf realizes a short ascending
+    # prefix of its axis and grows it only when read past its end, so the
+    # values realized in all 64 leaves are pinned here, without timing, and
+    # stay far below the m * n that full sorts would realize
+    import cartesian_topk.selectors as sel
+    from cartesian_topk.bench import generate_inputs
+    axes = []
+    validated = sel._validated
+    monkeypatch.setattr(sel, "_validated", lambda *args: axes.extend(validated(*args)) or axes)
+    arrays = generate_inputs("exponential", 64, 1024, seed=1)
+    stats = RunStats()
+    sort_tree_select(arrays, 512, stats=stats)
+    realized = sum(len(axis.values) for axis in axes)
+    assert realized == 1024  # 16 per leaf: no leaf read past its first prefix
+    assert realized < 64 * 1024 // 32
+    assert stats.pops_per_level[6] * 64 <= realized  # every value a leaf popped was realized
+
+
 # (proposed_total, processed_total, pops_total, parked_count()) once the node
 # over the first two arrays holds k values
 _GOLDEN_NODE = {
@@ -592,7 +663,7 @@ def raises(fn):
 
 
 def merge_advances_both_margins():
-    leaves = [sel._SortLeaf([1.0, 2.0, 3.0, 4.0]) for _ in range(2)]
+    leaves = [sel._SortLeaf(sel.AscendingPrefix([1.0, 2.0, 3.0, 4.0])) for _ in range(2)]
     node = sel._SortMerge(leaves[0], leaves[1], sel._FringeGauge())
     node.pop_next()
     node.fringe = [(-1.0, 2, 2)]  # (2, 2) next: both (3, 2) and (2, 3) need a new value
