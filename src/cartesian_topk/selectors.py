@@ -11,12 +11,13 @@ near k+1 values per node.
 
 All six convert and check each axis once, to float64, in ``_checked``; the
 selectors then read it as a lazily sorted ``select1d.AscendingPrefix``.
-Every algorithm sums an index tuple with the same balanced grouping
-(left half = first ceil(m/2) axes), so equal index tuples give
-bit-identical floats across algorithms and the oracle, and outputs can
-be compared as exact multisets.  The tensor selectors share one such
-tree, ``_SumTree``: a child tuple differs from its parent in one axis,
-so its sum re-adds only that leaf's path, about log2(m) additions.
+Every algorithm and the oracle walk one balanced tree shape, ``_Tree``
+(left half = first ceil(m/2) axes), built once per call as a post-order
+node list, so equal index tuples give bit-identical floats across
+algorithms and the oracle, and outputs can be compared as exact
+multisets.  The tree selectors stack their nodes in that list's order;
+in the tensor selectors a child tuple differs from its parent in one
+axis, so its sum re-adds only that leaf's path, about log2(m) additions.
 """
 
 from __future__ import annotations
@@ -55,16 +56,21 @@ class SelectionResult:
 class RunStats:
     """Instrumentation counters captured by a selector run.
 
-    pops_per_level maps tree depth (0 = root) to the average number of
-    times a node at that depth was asked to produce a value, the
-    look-ahead pop included: a merge node realizes a child's next value
-    when it enqueues the successor cell, so a node asked for p values asks
-    each child for 1 + the deepest (1-based) index it used;
-    generated_per_level totals layer-generator output per depth for the
-    layered tree method.  Every call replaces both per-level fields, so
-    they describe the last call; the other three counters add up over
-    calls, and each measures a different unit of work in each selector,
-    so they compare runs of one selector, not two selectors:
+    pops_per_level maps tree depth (0 = root) to an average per node.
+    Sort-tree averages over every node at that depth, leaves included, the
+    times the node was asked to produce a value, the look-ahead pop
+    included: a merge node realizes a child's next value when it enqueues
+    the successor cell, so a node asked for p values asks each child for
+    1 + the deepest (1-based) index it used.  Fast-soft-tree averages the
+    counted soft-heap extractions of the pair-sum nodes at that depth only,
+    since leaves never pop: on the golden tie-heavy case (m=5) depth 2
+    holds one pair node and three leaves, and reads 41.0.  The other three
+    selectors leave it empty.  generated_per_level totals layer-generator
+    output per depth for the layered tree method.  Every call replaces
+    both per-level fields, so they describe the last call; the other three
+    counters add up over calls, and each measures a different unit of work
+    in each selector, so they compare runs of one selector, not two
+    selectors:
 
     - ``values_generated``: soft-tensor counts soft-heap inserts (tensor
       cells whose sum was evaluated); soft-tree counts the values every
@@ -140,32 +146,41 @@ def _validated(arrays: Sequence[Sequence[float]], k: int,
     return [AscendingPrefix(axis) for axis in _checked(arrays, k)]
 
 
-def _left_size(count: int) -> int:
-    return (count + 1) // 2
+class _Tree:
+    """The balanced tree over m axes that every selector and the oracle walk
+    (left child = first ceil(m/2) axes).  Leaf t is node t; internal node
+    m + i joins the two nodes ``ops[i]``, in post-order, so children come
+    before their parent and the root is last.  ``depth[v]`` is node v's
+    distance from the root, and ``paths[t]`` lists the siblings on leaf t's
+    path, leaf first."""
 
-
-class _SumTree:
-    """The balanced summation tree over m axes: leaf t is node t, internal
-    node m + i adds the two nodes ``ops[i]`` (post-order, so the root is
-    last), and ``paths[t]`` lists the siblings on leaf t's path, leaf up."""
-
-    __slots__ = ("ops", "paths")
+    __slots__ = ("ops", "depth", "paths")
 
     def __init__(self, m: int):
         self.ops: list[tuple[int, int]] = []
-        self.paths: list[list[int]] = [[] for _ in range(m)]
 
         def build(lo: int, hi: int) -> int:
             if hi - lo == 1:
                 return lo
-            mid = lo + _left_size(hi - lo)
-            left, right = build(lo, mid), build(mid, hi)
-            for t in range(lo, hi):
-                self.paths[t].append(right if t < mid else left)
-            self.ops.append((left, right))
+            mid = lo + (hi - lo + 1) // 2
+            self.ops.append((build(lo, mid), build(mid, hi)))
             return m + len(self.ops) - 1
 
         build(0, m)
+        self.depth = [0] * (m + len(self.ops))
+        up: list[list[int]] = [[] for _ in self.depth]  # siblings from v to the root
+        for v in range(len(self.depth) - 1, m - 1, -1):
+            left, right = self.ops[v - m]
+            self.depth[left] = self.depth[right] = self.depth[v] + 1
+            up[left], up[right] = [right] + up[v], [left] + up[v]
+        self.paths = up[:m]
+
+    def levels(self, counts: Sequence[int], first: int = 0) -> dict[int, list[int]]:
+        """``counts[j]``, the count of node ``first + j``, grouped by depth."""
+        out: dict[int, list[int]] = {}
+        for v, count in enumerate(counts, first):
+            out.setdefault(self.depth[v], []).append(count)
+        return out
 
     def partials(self, vals: Sequence[float]) -> list[float]:
         """All 2m-1 node sums of one value per axis; the root's is last."""
@@ -197,34 +212,29 @@ def brute_force_select(arrays: Sequence[Sequence[float]], k: int, *,
                        guard: int = DEFAULT_GUARD) -> SelectionResult:
     """Materialize every sum, sort, keep k; refuses above ``guard`` cells."""
     axes = _checked(arrays, k)
-    sizes = [len(a) for a in axes]
-    total = math.prod(sizes)
+    total = math.prod(len(a) for a in axes)
     if total > guard:
         raise GuardError(f"{total} tensor cells exceed the materialization guard {guard}")
-
-    def sums(lo: int, hi: int) -> np.ndarray:
-        if hi - lo == 1:
-            return axes[lo]
-        mid = lo + _left_size(hi - lo)
-        return np.add.outer(sums(lo, mid), sums(mid, hi)).ravel()
-
-    flat = sums(0, len(axes))
+    m = len(axes)
+    tree = _Tree(m)
+    node, cells = list(axes), [a.size for a in axes]
+    for left, right in tree.ops:
+        node.append(np.add.outer(node[left], node[right]).ravel())
+        cells.append(node[-1].size)
+        node[left] = node[right] = None  # each child is read only here: free its array
+    flat = node[-1]
     if k < total:
         picked = np.argpartition(flat, k - 1)[:k]
         picked = picked[np.argsort(flat[picked], kind="stable")]
     else:
         picked = np.argsort(flat, kind="stable")
-    values = flat[picked].tolist()
-
-    def decode(code: int, lo: int, hi: int) -> tuple[int, ...]:
-        if hi - lo == 1:
-            return (code + 1,)
-        mid = lo + _left_size(hi - lo)
-        right_total = math.prod(sizes[mid:hi])
-        return decode(code // right_total, lo, mid) + decode(code % right_total, mid, hi)
-
-    indices = [decode(int(code), 0, len(axes)) for code in picked]
-    return SelectionResult(values=values, sorted=True, indices=indices)
+    # a node's cell code is (left child's code) * (right child's cells) + right child's code
+    code = [None] * (len(node) - 1) + [picked]
+    for v in range(len(node) - 1, m - 1, -1):
+        left, right = tree.ops[v - m]
+        code[left], code[right] = np.divmod(code[v], cells[right])
+    indices = list(zip(*((c + 1).tolist() for c in code[:m])))
+    return SelectionResult(values=flat[picked].tolist(), sorted=True, indices=indices)
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +278,7 @@ def soft_tensor_select(arrays: Sequence[Sequence[float]], k: int, *,
     mats = [a.values for a in axes]
     m = len(mats)
     dims = [a.n for a in axes]
-    tree = _SumTree(m)
+    tree = _Tree(m)
 
     soft = SoftHeap(1.0 / (3 * m))
     seen = {(1,) * m} if debug_checks else None
@@ -311,19 +321,14 @@ def soft_tree_select(arrays: Sequence[Sequence[float]], k: int, *,
     values to any k-selection on their sum.
     """
     axes = _validated(arrays, k, stats)
-
-    def run(lo: int, hi: int) -> list:
-        want = min(k, math.prod(a.n for a in axes[lo:hi]))
-        if hi - lo == 1:
-            out = axes[lo].reach(want)[:want]
-        else:
-            mid = lo + _left_size(hi - lo)
-            out = soft_select_pairwise(run(lo, mid), run(mid, hi), want, stats=stats)
-        if stats is not None:
-            stats.values_generated += len(out)
-        return out
-
-    return SelectionResult(values=run(0, len(axes)), sorted=False)
+    sizes = [a.n for a in axes]  # cells under each node
+    outs = [a.reach(min(k, a.n))[:k] for a in axes]
+    for left, right in _Tree(len(axes)).ops:
+        sizes.append(sizes[left] * sizes[right])
+        outs.append(soft_select_pairwise(outs[left], outs[right], min(k, sizes[-1]), stats=stats))
+    if stats is not None:
+        stats.values_generated += sum(len(out) for out in outs)
+    return SelectionResult(values=outs[-1], sorted=False)
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +372,7 @@ def sort_tensor_select(arrays: Sequence[Sequence[float]], k: int, *,
     mats = [a.values for a in axes]
     m = len(mats)
     dims = [a.n for a in axes]
-    tree = _SumTree(m)
+    tree = _Tree(m)
     strides = [1] * m
     for t in range(m - 2, -1, -1):
         strides[t] = strides[t + 1] * dims[t + 1]
@@ -493,25 +498,18 @@ def sort_tree_select(arrays: Sequence[Sequence[float]], k: int,
                      stats: RunStats | None = None) -> SelectionResult:
     """k smallest sums in ascending order via a balanced tree of merges."""
     axes = _validated(arrays, k, stats)
+    tree = _Tree(len(axes))
     gauge = _FringeGauge()
-    levels: dict[int, list] = {}
-
-    def build(lo: int, hi: int, depth: int):
-        if hi - lo == 1:
-            node = _SortLeaf(axes[lo])
-        else:
-            mid = lo + _left_size(hi - lo)
-            node = _SortMerge(build(lo, mid, depth + 1), build(mid, hi, depth + 1), gauge)
-        levels.setdefault(depth, []).append(node)
-        return node
-
-    root = build(0, len(axes), 0)
+    nodes: list = [_SortLeaf(a) for a in axes]
+    for left, right in tree.ops:
+        nodes.append(_SortMerge(nodes[left], nodes[right], gauge))
+    root = nodes[-1]
     values = [root.pop_next() for _ in range(k)]
     indices = [root.index_of(t) for t in range(1, k + 1)] if want_indices else None
     if stats is not None:
-        stats.pops_per_level.update(
-            {d: sum(n.pop_count for n in nodes) / len(nodes) for d, nodes in levels.items()})
-        stats.values_generated += sum(n.pop_count for nodes in levels.values() for n in nodes)
+        pops = [n.pop_count for n in nodes]
+        stats.pops_per_level = {d: sum(c) / len(c) for d, c in tree.levels(pops).items()}
+        stats.values_generated += sum(pops)
         stats.fringe_peak = max(stats.fringe_peak, gauge.peak)
     return SelectionResult(values=values, sorted=True, indices=indices)
 
@@ -533,30 +531,21 @@ def fast_soft_tree_select(arrays: Sequence[Sequence[float]], k: int, alpha: floa
     if not 1.0 < alpha < 2.0:
         raise ParameterError(f"alpha must lie in (1, 2), got {alpha}")
     axes = _validated(arrays, k, stats)
-    levels: dict[int, list[LohGenerator]] = {}
-
-    def build(lo: int, hi: int, depth: int) -> LohGenerator:
-        if hi - lo == 1:
-            node: LohGenerator = LeafGenerator(axes[lo], alpha)
-        else:
-            mid = lo + _left_size(hi - lo)
-            left = build(lo, mid, depth + 1)
-            right = build(mid, hi, depth + 1)
-            node = PairSumNode(left, right, alpha)
-        levels.setdefault(depth, []).append(node)
-        return node
-
-    root = build(0, len(axes), 0)
+    m = len(axes)
+    tree = _Tree(m)
+    nodes: list[LohGenerator] = [LeafGenerator(a, alpha) for a in axes]
+    for left, right in tree.ops:
+        nodes.append(PairSumNode(nodes[left], nodes[right], alpha))
+    root = nodes[-1]
     while root.generated_count < k:
         root.generate_next_layer()
     if stats is not None:
-        for depth, nodes in levels.items():
-            stats.generated_per_level[depth] = sum(n.generated_count for n in nodes)
-            pair_nodes = [n for n in nodes if isinstance(n, PairSumNode)]
-            if pair_nodes:
-                stats.pops_per_level[depth] = sum(n.pops_total for n in pair_nodes) / len(pair_nodes)
-            for n in pair_nodes:
-                stats.corrupted_count += n.soft_heap.corrupted_count
-                stats.fringe_peak = max(stats.fringe_peak, n.soft_heap.peak_size)
+        generated = tree.levels([n.generated_count for n in nodes])
+        stats.generated_per_level = {d: sum(c) for d, c in generated.items()}
+        pops = tree.levels([n.pops_total for n in nodes[m:]], m)
+        stats.pops_per_level = {d: sum(c) / len(c) for d, c in pops.items()}
+        for n in nodes[m:]:
+            stats.corrupted_count += n.soft_heap.corrupted_count
+            stats.fringe_peak = max(stats.fringe_peak, n.soft_heap.peak_size)
         stats.values_generated += sum(stats.generated_per_level.values())
     return SelectionResult(values=select_k(root.values, k), sorted=False)

@@ -12,15 +12,20 @@ the ``2d-ndarray`` container passes them as one float64 2-D ndarray and
 has only this stream.
 
 On every case all five selectors must return the oracle's values with
-``==``, as Python floats; sort-tensor and sort-tree indices must map back
-to their values through the ascending axes; sort-tree's
-``pops_per_level`` must equal criterion 8's NumPy reference and, where m
-is a power of two (every depth full), stay within the single-path
-ceiling (k + 3 * (2^d - 1)) / 2^d at depth d; a second soft-tree and
-fast-soft-tree call must repeat its values and every ``RunStats`` field;
-soft-tensor's corruption must stay within eps times its inserts; and the
-caller's inputs must be left as they were.  The first cases of one
-container also run in a child interpreter under ``python -O``.
+``==``, as Python floats; the oracle's indices must be in range, distinct,
+and map back to its values through the input-order axes; sort-tensor and
+sort-tree indices must map back to their values through the ascending
+axes; sort-tree's ``pops_per_level`` must equal criterion 8's NumPy
+reference and, where m is a power of two (every depth full), stay within
+the single-path ceiling (k + 3 * (2^d - 1)) / 2^d at depth d;
+fast-soft-tree's ``generated_per_level`` must have a key for every depth
+0..D of the tree and sum to its ``values_generated``, and its
+``pops_per_level`` must have exactly the depths 0..D-1, which hold its
+pair-sum nodes; a second soft-tree and fast-soft-tree call must repeat
+its values and every ``RunStats`` field; soft-tensor's corruption must
+stay within eps times its inserts; and the caller's inputs must be left
+as they were.  The first cases of one container also run in a child
+interpreter under ``python -O``.
 
 Run as a script, it sweeps more cases than tier-1 without pytest:
 
@@ -44,6 +49,7 @@ from cartesian_topk import (RunStats, brute_force_select, fast_soft_tree_select,
                             soft_tensor_select, soft_tree_select, sort_tensor_select,
                             sort_tree_select)
 from test_acceptance import _reference_pops_per_level
+from test_selectors import check_oracle_indices
 
 CONTAINERS = ("float-list", "int-list", "float64", "float32", "int64", "bool", "2d-ndarray")
 KINDS = ("ties", "wide", "sorted", "reversed")
@@ -122,7 +128,9 @@ def _check_cases(container, cases, seed=0, equal_length=False):
         arrays, k, alpha, kind = make_case(rng, container, equal_length)
         where = (container, equal_length, seed, case, kind, [len(a) for a in arrays], k, alpha)
         before = _snapshot(arrays)
-        expected = brute_force_select(arrays, k).values
+        oracle = brute_force_select(arrays, k)
+        check_oracle_indices(arrays, oracle, where)
+        expected = oracle.values
         ascending = [sorted(np.asarray(a, dtype=np.float64).tolist()) for a in arrays]
 
         calls = {
@@ -148,6 +156,12 @@ def _check_cases(container, cases, seed=0, equal_length=False):
         m = len(arrays)
         if m & (m - 1) == 0:
             assert all(p <= (k + 3 * (2 ** d - 1)) / 2 ** d for d, p in pops.items()), where
+        # the balanced tree over m leaves is ceil(log2 m) deep, and every depth
+        # above the deepest holds a pair-sum node
+        fast, deepest = stats["fast-soft-tree"], (m - 1).bit_length()
+        assert set(fast.generated_per_level) == set(range(deepest + 1)), where
+        assert sum(fast.generated_per_level.values()) == fast.values_generated, where
+        assert set(fast.pops_per_level) == set(range(deepest)), where
         # soft-tree and fast-soft-tree carry a 1-D selection's output order
         # into later work, so a second call must repeat their values, in
         # order, and every counter

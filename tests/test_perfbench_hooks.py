@@ -2,9 +2,11 @@
 
 ``perfbench/layers.py`` patches functions and methods of the package by
 name, and ``perfbench/run.py`` reads a fixed set of keys from its
-``call_metrics``; a refactor that drops one of those names, or a key that
-silently reads 0, would show only in a benchmark run.  This test runs the
-tracer once per selector on a small input instead.
+``call_metrics``; a refactor that drops one of those names, or stops
+calling one so that its key silently reads 0, would show only in a
+benchmark run.  This test runs the tracer once per selector on a small
+input instead, and requires every per-layer key to read above 0, apart
+from the few listed below.
 """
 
 import importlib.util
@@ -16,6 +18,13 @@ from cartesian_topk import RunStats, brute_force_select
 from cartesian_topk.bench import generate_inputs
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+# Dead spans: the tracer still wraps ``loh.lohify`` and ``loh.split_at``,
+# which no selector reaches since leaves stopped calling ``lohify``.  Their
+# repair belongs to the benchmark's next change (ROADMAP item 1); until then
+# they must read exactly 0, so a span that comes back to life shows here.
+DEAD = {"fast_soft_tree": {"loh.lohify.ns", "loh.lohify.values", "select1d.split_at.ns"}}
+# Pairs still parked when the call ends: 0 on this input.
+MAY_BE_ZERO = {"pairwise.parked"}
 
 
 def test_tracer_wraps_every_name(monkeypatch):
@@ -40,5 +49,10 @@ def test_tracer_wraps_every_name(monkeypatch):
         metrics = layers.call_metrics(trace, stats, k)
         missing = [key for key in run.LAYER_METRICS[name] if key not in metrics]
         assert not missing, (name, missing)
+        dead = DEAD.get(name, set())
+        assert {key: metrics[key] for key in dead} == dict.fromkeys(dead, 0), name
+        idle = [key for key in run.LAYER_METRICS[name]
+                if key not in dead | MAY_BE_ZERO and not metrics[key] > 0]
+        assert not idle, (name, idle)
         if name == "fast_soft_tree":
             assert 0 < metrics["loh.leaf_use_ratio"] <= 1

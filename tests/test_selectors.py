@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from cartesian_topk import (ContractViolation, GuardError, LeafGenerator,
                             soft_tensor_select, soft_tree_select,
                             sort_tensor_select, sort_tree_select,
                             theoretical_exponent)
+from cartesian_topk.selectors import _Tree
 
 
 def balanced_sum(vals):
@@ -69,6 +71,84 @@ def test_brute_indices_resum():
     r = brute_force_select(arrays, 10)
     for value, idx in zip(r.values, r.indices):
         assert value == balanced_sum([arrays[t][i - 1] for t, i in enumerate(idx)])
+
+
+def check_oracle_indices(arrays, result, where=None):
+    """The oracle's index tuples are in range, distinct, and resum through
+    the input-order axes to their values with ``==``."""
+    axes = [np.asarray(a, dtype=np.float64).tolist() for a in arrays]
+    assert len(result.indices) == len(result.values), where
+    assert len(set(result.indices)) == len(result.indices), where
+    for value, idx in zip(result.values, result.indices):
+        assert len(idx) == len(axes), where
+        assert all(type(i) is int and 1 <= i <= len(ax) for ax, i in zip(axes, idx)), where
+        assert balanced_sum([ax[i - 1] for ax, i in zip(axes, idx)]) == value, where
+
+
+@pytest.mark.parametrize("lengths,k", [
+    ([7], 4),                   # m=1: the decode has no internal node
+    ([3, 1, 4, 2, 5], 57),      # uneven lengths, k < cells (the argpartition branch)
+    ([2, 3, 2, 1, 3], 36),      # k == cells (the argsort branch)
+])
+def test_brute_indices_decode_to_input_order(lengths, k):
+    # distinct floats, so a wrong index cannot resum to an equal value
+    rng = random.Random(43)
+    arrays = [[rng.random() for _ in range(n)] for n in lengths]
+    check_oracle_indices(arrays, brute_force_select(arrays, k))
+
+
+def test_brute_frees_node_arrays_once_summed():
+    # length-1 axes make every node on the long axis's path as large as the
+    # root; holding them all would multiply the peak by the tree's depth
+    cells = 200_000
+    arrays = [np.random.default_rng(1).random(cells)] + [[0.5]] * 15
+    tracemalloc.start()
+    try:
+        brute_force_select(arrays, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 8 * cells  # the root and one child, or the root and its argpartition
+
+
+def _reference_shape(m):
+    # the balanced shape by its own recursion over axis spans: internal nodes
+    # numbered from m in post-order, each node's depth, each leaf's siblings
+    ops, depth, paths = [], {}, [[] for _ in range(m)]
+
+    def build(lo, hi, d):
+        if hi - lo == 1:
+            depth[lo] = d
+            return lo
+        mid = (lo + hi + 1) // 2  # left child = first ceil(span/2) axes
+        left, right = build(lo, mid, d + 1), build(mid, hi, d + 1)
+        for t in range(lo, hi):
+            paths[t].append(right if t < mid else left)
+        ops.append((left, right))
+        depth[m + len(ops) - 1] = d
+        return m + len(ops) - 1
+
+    build(0, m, 0)
+    return ops, [depth[v] for v in range(2 * m - 1)], paths
+
+
+def test_tree_shape_matches_reference():
+    for m in range(1, 71):
+        tree = _Tree(m)
+        ops, depth, paths = _reference_shape(m)
+        assert tree.ops == ops, m
+        assert tree.depth == depth, m
+        assert tree.paths == paths, m
+        # post-order: children before their parent, every node but the root
+        # (the last) a child exactly once
+        assert all(left < m + i and right < m + i for i, (left, right) in enumerate(tree.ops)), m
+        assert sorted(v for op in tree.ops for v in op) == list(range(2 * m - 2)), m
+        for first in (0, m):
+            counts = [10 * v + 7 for v in range(first, 2 * m - 1)]
+            expected = {}
+            for v in range(first, 2 * m - 1):
+                expected.setdefault(depth[v], []).append(10 * v + 7)
+            assert tree.levels(counts, first) == expected, (m, first)
 
 
 def test_brute_guard():
