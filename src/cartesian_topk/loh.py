@@ -241,9 +241,9 @@ class LohGenerator:
 
     def _close_layer(self) -> None:
         """Record the next layer, whose values the subclass has just placed."""
+        top = max(self.values[self.generated_count:])
         self.layer_count += 1
         self.generated_count = self.schedule.total(self.layer_count)
-        top = max(self.layer(self.layer_count))
         if self._maxima and self._maxima[-1] > top:
             top = self._maxima[-1]
         self._maxima.append(top)

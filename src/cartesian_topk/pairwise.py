@@ -50,21 +50,23 @@ def soft_select_pairwise(a: Sequence[float], b: Sequence[float], k: int,
     na, nb = len(heap_a), len(heap_b)
 
     soft = SoftHeap(DEFAULT_EPSILON)
-    soft.insert(heap_a[0] + heap_b[0], (1, 1))
+    insert = soft.insert
+    # A cell's payload is its 0-based code i * nb + j, decoded once when it settles.
+    insert(heap_a[0] + heap_b[0], 0)
 
     def propose(e) -> None:
-        i, j = e.payload
-        if j == 1:
-            for ci in (2 * i, 2 * i + 1):
-                if ci <= na:
-                    soft.insert(heap_a[ci - 1] + heap_b[0], (ci, 1))
-            for cj in (2, 3):
-                if cj <= nb:
-                    soft.insert(heap_a[i - 1] + heap_b[cj - 1], (i, cj))
+        i, j = divmod(e.payload, nb)
+        if j == 0:
+            for ci in (2 * i + 1, 2 * i + 2):
+                if ci < na:
+                    insert(heap_a[ci] + heap_b[0], ci * nb)
+            for cj in (1, 2):
+                if cj < nb:
+                    insert(heap_a[i] + heap_b[cj], i * nb + cj)
         else:
-            for cj in (2 * j, 2 * j + 1):
-                if cj <= nb:
-                    soft.insert(heap_a[i - 1] + heap_b[cj - 1], (i, cj))
+            for cj in (2 * j + 1, 2 * j + 2):
+                if cj < nb:
+                    insert(heap_a[i] + heap_b[cj], i * nb + cj)
 
     pool: list = []
     pop_and_pool(soft, k, pool, propose)
@@ -225,7 +227,7 @@ class PairSumNode(LohGenerator):
         a_ready = ia <= self.left.generated_count
         b_ready = ib <= self.right.generated_count
         if a_ready and b_ready:
-            self.soft_heap.insert(self.left.value_at(ia) + self.right.value_at(ib), (ia, ib))
+            self.soft_heap.insert(self.left.values[ia - 1] + self.right.values[ib - 1], (ia, ib))
             self.live_in_heap += 1
         elif not a_ready and not b_ready:
             self.purgatory_ab.append((ia, ib))

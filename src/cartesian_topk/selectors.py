@@ -281,8 +281,9 @@ def soft_tensor_select(arrays: Sequence[Sequence[float]], k: int, *,
     tree = _Tree(m)
 
     soft = SoftHeap(1.0 / (3 * m))
+    insert = soft.insert
     seen = {(1,) * m} if debug_checks else None
-    soft.insert(tree.partials([a[0] for a in mats])[-1], (1,) * m)
+    insert(tree.partials([a[0] for a in mats])[-1], (1,) * m)
 
     def propose(e) -> None:
         idx = e.payload
@@ -297,7 +298,7 @@ def soft_tensor_select(arrays: Sequence[Sequence[float]], k: int, *,
                 value = mats[t][c - 1]
             except IndexError:  # heap children jump past the realized prefix
                 value = axes[t].reach(c)[c - 1]
-            soft.insert(tree.child(sums, t, value), child)
+            insert(tree.child(sums, t, value), child)
 
     pool: list = []
     pop_and_pool(soft, k, pool, propose)

@@ -1,16 +1,23 @@
 """Soft heap: a priority queue that trades exactness for speed.
 
-Entries are stored in per-node item lists inside a forest of binary
-trees.  When a node refills from its children its key can rise, raising
-the current key of every entry still sitting in its list; such entries
-are "corrupted" (current key > original key).  Corruption is confined
-to nodes above a rank cutoff derived from epsilon, which bounds the
-number of entries ever corrupted by epsilon * I, where I counts
-insertions.
+Entries sit in per-node item lists inside a forest of binary trees, at
+most one tree per rank.  insert only appends to a pending list; the next
+extract_min settles the counters (size, inserts, peak) for all pending
+entries at once and carries each into the forest like a binary
+increment.  A rank-0 tree is always a leaf holding one entry, so a
+pending entry that meets one builds the rank-1 node directly: the
+smaller key (the pending entry's on a tie) goes up, the other stays
+below as its only child.
 
-Inserts go into a pending buffer and the forest is consolidated at the
-next extract_min, so all corruption surfaces inside extract_min and is
-reported through its return value.  Keys are never lowered.
+An emptied node refills by pulling up its smaller-key child's list, then
+refilling that child the same way down to a leaf, which raises no key.
+Corruption happens in one place only: a new even-rank node above a
+cutoff derived from epsilon refills once more ("car-pooling") and keeps
+its residents, whose current keys rise to the new node key.  Those
+entries are "corrupted" (current key > original key); at most
+epsilon * I of them ever are, where I counts insertions, and each is
+reported once, by the extract_min that corrupts it.  Keys are never
+lowered.
 """
 
 from __future__ import annotations
@@ -49,6 +56,9 @@ class _Node:
         self.right = right
 
 
+_node_key = operator.attrgetter("key")
+
+
 class SoftHeap:
     """Priority queue with amortized O(1) insert and bounded corruption.
 
@@ -78,15 +88,15 @@ class SoftHeap:
 
     @property
     def size(self) -> int:
-        return self._size
+        return self._size + len(self._pending)
 
     def __len__(self) -> int:
-        return self._size
+        return self._size + len(self._pending)
 
     @property
     def insert_count(self) -> int:
         """Insertions since construction or the last drain."""
-        return self._inserts
+        return self._inserts + len(self._pending)
 
     @property
     def corrupted_count(self) -> int:
@@ -94,7 +104,7 @@ class SoftHeap:
 
     @property
     def peak_size(self) -> int:
-        return self._peak_size
+        return max(self._peak_size, self._size + len(self._pending))
 
     def corrupted_entries(self) -> list[SoftHeapEntry]:
         """Every entry corrupted since construction or the last drain."""
@@ -104,24 +114,23 @@ class SoftHeap:
 
     def insert(self, key: float, payload: Any = None) -> None:
         self._pending.append(SoftHeapEntry(key, payload))
-        self._size += 1
-        self._inserts += 1
-        if self._size > self._peak_size:
-            self._peak_size = self._size
 
     def extract_min(self) -> tuple[SoftHeapEntry, list[SoftHeapEntry]]:
-        if self._size == 0:
-            raise ContractViolation("extract_min from an empty soft heap")
         fresh: list[SoftHeapEntry] = []
-        self._consolidate(fresh)
-        root = min(self._trees.values(), key=operator.attrgetter("key"))  # first of equal keys
-        entry = root.items.pop()
+        if self._pending:
+            self._consolidate(fresh)
+        elif not self._size:
+            raise ContractViolation("extract_min from an empty soft heap")
+        trees = self._trees
+        root = min(trees.values(), key=_node_key)  # first of equal keys
+        items = root.items
+        entry = items.pop()
         self._size -= 1
-        if not root.items:
+        if not items:
             if root.left is None:
-                del self._trees[root.rank]
+                del trees[root.rank]
             else:
-                self._fill(root, fresh)
+                _refill(root)
         return entry, fresh
 
     def drain(self) -> list[SoftHeapEntry]:
@@ -147,56 +156,67 @@ class SoftHeap:
 
     def _consolidate(self, fresh: list[SoftHeapEntry]) -> None:
         pending = self._pending
-        if not pending:
-            return
         self._pending = []
+        self._inserts += len(pending)
+        self._size += len(pending)
+        self._peak_size = max(self._peak_size, self._size)
         trees = self._trees
+        cutoff = self._rank_cutoff
         for entry in pending:
-            node = _Node(0, entry.current_key, [entry])
-            while node.rank in trees:
-                other = trees.pop(node.rank)
-                node = self._combine(node, other, fresh)
-            trees[node.rank] = node
-
-    def _combine(self, x: _Node, y: _Node, fresh: list[SoftHeapEntry]) -> _Node:
-        z = _Node(x.rank + 1, 0.0, [], x, y)
-        self._fill(z, fresh)
-        # Car-pooling happens here and only here: a second fill at the
-        # creation of an even-rank node above the cutoff merges two item
-        # lists and raises the keys of the residents.
-        if z.rank > self._rank_cutoff and z.rank % 2 == 0 and z.left is not None:
-            self._fill(z, fresh)
-        return z
-
-    def _fill(self, x: _Node, fresh: list[SoftHeapEntry]) -> None:
-        # Pull the item list up from the smaller-key child, then refill that
-        # child the same way, down to a leaf.  Entries already sitting at x
-        # get their keys raised to the new node key; the nodes below it on
-        # the path hold none, each having just been emptied.
-        while True:
-            left, right = x.left, x.right
-            if right is not None and right.key < left.key:
-                x.left, x.right = right, left
-                left = right
-            new_key = left.key
-            if x.items:
-                if new_key > x.key:
-                    for e in x.items:
-                        if not e.corrupted:
-                            e.corrupted = True
-                            fresh.append(e)
-                            self._corrupted.append(e)
-                        e.current_key = new_key
-                x.items.extend(left.items)
+            key = entry.current_key
+            leaf = trees.pop(0, None)
+            if leaf is None:
+                trees[0] = _Node(0, key, [entry])
+                continue
+            if leaf.key < key:  # rank-0 carry: the smaller key rises, ties to the new entry
+                node = _Node(1, leaf.key, leaf.items, leaf)
+                leaf.key = key
+                leaf.items = [entry]
             else:
-                x.items = left.items
-            x.key = new_key
-            left.items = []
-            if left.left is None:
-                x.left = x.right
-                x.right = None
-                return
-            x = left
+                node = _Node(1, key, [entry], leaf)
+            rank = 1
+            other = trees.pop(1, None)
+            while other is not None:
+                node = _Node(rank + 1, 0.0, None, node, other)
+                _refill(node)
+                rank += 1
+                if rank > cutoff and not rank & 1:
+                    _car_pool(node, fresh)
+                other = trees.pop(rank, None)
+            trees[rank] = node
+        self._corrupted.extend(fresh)
+
+
+def _refill(x: _Node) -> None:
+    # Pulls up the list of x's smaller-key child (the left one on a tie)
+    # and refills that child the same way; a drained leaf is dropped.
+    while True:
+        y, z = x.left, x.right
+        if z is not None and z.key < y.key:
+            y, z = z, y
+            x.left, x.right = y, z
+        x.items = y.items
+        x.key = y.key
+        if y.left is None:
+            x.left = z
+            x.right = None
+            return
+        x = y
+
+
+def _car_pool(x: _Node, fresh: list[SoftHeapEntry]) -> None:
+    # The only step that corrupts: x refills once more, keeping its
+    # residents ahead of the list it pulls up, their keys raised to its own.
+    items, key = x.items, x.key
+    _refill(x)
+    if x.key > key:
+        for e in items:
+            if not e.corrupted:
+                e.corrupted = True
+                fresh.append(e)
+            e.current_key = x.key
+    items.extend(x.items)
+    x.items = items
 
 
 def pop_and_pool(soft: SoftHeap, pops: int, pool: list,
@@ -214,8 +234,9 @@ def pop_and_pool(soft: SoftHeap, pops: int, pool: list,
     """
     done = 0
     reported: set = set()  # entries first reported corrupted in this call
-    while done < pops and soft.size > 0:
-        entry, fresh = soft.extract_min()
+    extract = soft.extract_min
+    while done < pops and (soft._size or soft._pending):
+        entry, fresh = extract()
         if fresh:
             reported.update(fresh)
         if not entry.corrupted:

@@ -93,6 +93,34 @@ def test_pairwise_exhaustive_tiny():
                 assert sorted(soft_select_pairwise(list(a), b, k)) == brute_pair(a, b, k)
 
 
+def test_pairwise_child_scheme_edges(monkeypatch):
+    # na, nb <= 4 reach every branch of the child scheme at its bounds,
+    # (i, 2) and (i, 3) at nb <= 3 included: no cell is proposed twice and
+    # every k gives the oracle's multiset, on shuffled inputs whose heap
+    # order is not their sorted order
+    from cartesian_topk import brute_force_select
+    from cartesian_topk.soft_heap import SoftHeap
+    inserted = []
+    original = SoftHeap.insert
+
+    def insert(self, key, payload=None):
+        inserted.append(payload)
+        return original(self, key, payload)
+
+    monkeypatch.setattr(SoftHeap, "insert", insert)
+    rng = random.Random(33)
+    for na, nb in itertools.product(range(1, 5), repeat=2):
+        for ties in (False, True):
+            a = [float(rng.randint(0, 2)) if ties else rng.random() for _ in range(na)]
+            b = [float(rng.randint(0, 2)) if ties else rng.random() for _ in range(nb)]
+            for k in range(1, na * nb + 1):
+                inserted.clear()
+                got = soft_select_pairwise(a, b, k)
+                assert sorted(got) == brute_force_select([a, b], k).values
+                assert inserted and len(set(inserted)) == len(inserted), (na, nb, k)
+                assert len(inserted) <= na * nb
+
+
 def test_pairwise_random_wide():
     rng = random.Random(31)
     for _ in range(1000):

@@ -527,6 +527,49 @@ def test_soft_tensor_insertion_accounting():
         assert stats.corrupted_count <= inserts / (3 * m)
 
 
+def test_soft_heap_calls_reach_the_class_methods(monkeypatch):
+    # counting wrappers on the SoftHeap class, as perfbench/layers.py
+    # installs them, see every insert and extraction of the three soft-heap
+    # selectors: the selectors reach the kernel only through the instance
+    import cartesian_topk.selectors as sel
+    from cartesian_topk.soft_heap import SoftHeap
+    counts = {"insert": 0, "extract_min": 0}
+    for name in counts:
+        original = getattr(SoftHeap, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(SoftHeap, name, counted)
+    outputs = []
+    pairwise = sel.soft_select_pairwise
+
+    def recorded(*args, **kwargs):
+        outputs.append(pairwise(*args, **kwargs))
+        return outputs[-1]
+
+    monkeypatch.setattr(sel, "soft_select_pairwise", recorded)
+    arrays, k = _golden_inputs()["ties"]
+
+    def run(select, *args):
+        counts.update(insert=0, extract_min=0)
+        stats = RunStats()
+        select(arrays, k, *args, stats=stats)
+        return stats
+
+    stats = run(soft_tensor_select)
+    assert counts["insert"] == stats.values_generated > 0
+    assert counts["extract_min"] >= k
+    stats = run(soft_tree_select)
+    node_outputs = sum(min(k, len(a)) for a in arrays) + sum(len(out) for out in outputs)
+    assert len(outputs) == len(arrays) - 1
+    assert counts["insert"] == stats.values_generated - node_outputs > 0
+    assert counts["extract_min"] >= k
+    run(fast_soft_tree_select, 1.1)
+    assert counts["insert"] > 0 and counts["extract_min"] > 0
+
+
 def test_sort_tree_stats_shape():
     arrays = [[float(i) for i in range(8)] for _ in range(8)]
     stats = RunStats()
