@@ -59,7 +59,7 @@ class RunStats:
     pops_per_level maps tree depth (0 = root) to an average per node.
     Sort-tree averages over every node at that depth, leaves included, the
     times the node was asked to produce a value, the look-ahead pop
-    included: a merge node realizes a child's next value when it enqueues
+    included: a merge node realizes a child's next value when it pushes
     the successor cell, so a node asked for p values asks each child for
     1 + the deepest (1-based) index it used.  Fast-soft-tree averages the
     counted soft-heap extractions of the pair-sum nodes at that depth only,
@@ -360,14 +360,16 @@ def sort_tensor_select(arrays: Sequence[Sequence[float]], k: int, *,
                        stats: RunStats | None = None) -> SelectionResult:
     """k smallest sums in ascending order, with index tuples.
 
-    A fringe of candidate cells grows from (1, ..., 1); each pop pushes the
-    m successor cells not already enqueued.  Indices address the ascending
-    order of each axis.  The fringe keys a cell by its mixed-radix code
-    (axis 0 most significant, digit ``idx[t] - 1``): codes are unique and
-    order like the index tuples, so equal sums pop in index-tuple order,
-    and a successor's code is one addition.  A fringe entry keeps its
-    parent's tuple and the advanced axis; the cell's own tuple is built
-    only when it is popped.
+    A fringe of candidate cells grows from (1, ..., 1).  Each cell has one
+    proposer, as in ``_tensor_children``: a popped cell that advanced axis t
+    over its parent pushes its successors along axes t..m-1 only (the root
+    counts as advancing axis 0).  Indices address the ascending order of
+    each axis.  The fringe keys a cell by its mixed-radix code (axis 0 most
+    significant, digit ``idx[t] - 1``): codes are unique and order like the
+    index tuples, so equal sums pop in index-tuple order, a proposer pops
+    before the cell it proposes, and a successor's code is one addition.  A
+    fringe entry keeps its parent's tuple and the advanced axis; the cell's
+    own tuple is built only when it is popped.
     """
     axes = _validated(arrays, k, stats)
     mats = [a.values for a in axes]
@@ -378,36 +380,29 @@ def sort_tensor_select(arrays: Sequence[Sequence[float]], k: int, *,
     for t in range(m - 2, -1, -1):
         strides[t] = strides[t + 1] * dims[t + 1]
 
-    root = (1,) * m
-    # (sum, code, parent tuple, advanced axis); the root has no parent
-    fringe: list[tuple] = [(tree.partials([a[0] for a in mats])[-1], 0, root, None)]
-    enqueued = {0}
+    # (sum, code, parent tuple, advanced axis); the root's parent is a step
+    # before it on axis 0
+    fringe: list[tuple] = [(tree.partials([a[0] for a in mats])[-1], 0, (0,) + (1,) * (m - 1), 0)]
+    push, pop = heapq.heappush, heapq.heappop
     peak = 1
     pushes = 1
     values: list[float] = []
     indices: list[tuple[int, ...]] = []
     for _ in range(k):
-        val, code, parent, axis = heapq.heappop(fringe)
-        # every predecessor of a cell orders before it, so none pops later
-        # and proposes it again: ``enqueued`` need hold only the fringe
-        enqueued.remove(code)
-        idx = parent if axis is None else parent[:axis] + (parent[axis] + 1,) + parent[axis + 1:]
+        val, code, parent, axis = pop(fringe)
+        idx = parent[:axis] + (parent[axis] + 1,) + parent[axis + 1:]
         values.append(val)
         indices.append(idx)
         sums = tree.partials([mats[t][i - 1] for t, i in enumerate(idx)])
-        for t in range(m):
+        for t in range(axis, m):
             i = idx[t]
             if i == dims[t]:
                 continue
-            nxt = code + strides[t]
-            if nxt in enqueued:
-                continue
-            enqueued.add(nxt)
             try:
                 value = mats[t][i]
             except IndexError:
                 value = axes[t].reach(i + 1)[i]
-            heapq.heappush(fringe, (tree.child(sums, t, value), nxt, idx, t))
+            push(fringe, (tree.child(sums, t, value), code + strides[t], idx, t))
             pushes += 1
         if len(fringe) > peak:
             peak = len(fringe)
@@ -422,29 +417,29 @@ def sort_tensor_select(arrays: Sequence[Sequence[float]], k: int, *,
 # ---------------------------------------------------------------------------
 
 class _FringeGauge:
+    """Entries held by all merge fringes of one sort-tree call, updated once
+    per pop, and the most they held."""
+
     __slots__ = ("current", "peak")
 
     def __init__(self):
         self.current = 0
         self.peak = 0
 
-    def push(self):
-        self.current += 1
-        if self.current > self.peak:
-            self.peak = self.current
-
-    def pop(self):
-        self.current -= 1
-
 
 class _SortMerge:
     """Two-way sorted merge of child streams over their pair sums.
 
-    After the first pop, each pop realizes at most one new child value
-    (at most one margin advances), which the assertion below enforces.
+    Each cell has one proposer: a popped (i, j) pushes (i, j+1), and
+    (i+1, 1) too when j == 1.  The proposer orders before the cell in the
+    fringe's (sum, i, j) order, so cells pop in that order and none is
+    pushed twice.  Row i+1 is realized when (i, 1) pops and column j+1 when
+    (1, j) pops, so after the first pop each pop realizes at most one new
+    child value (at most one margin advances), which the assertion below
+    enforces.
     """
 
-    __slots__ = ("left", "right", "a", "b", "fringe", "enqueued", "history", "gauge")
+    __slots__ = ("left", "right", "a", "b", "fringe", "history", "gauge")
 
     def __init__(self, left, right, gauge: _FringeGauge):
         self.left = left
@@ -453,9 +448,9 @@ class _SortMerge:
         self.a = [left.pop_next()]
         self.b = [right.pop_next()]
         self.fringe: list[tuple[float, int, int]] = [(self.a[0] + self.b[0], 1, 1)]
-        self.enqueued = {(1, 1)}
         self.history: list[tuple[int, int]] = []
-        gauge.push()
+        gauge.current += 1
+        gauge.peak = max(gauge.peak, gauge.current)
 
     @property
     def pop_count(self) -> int:
@@ -465,28 +460,28 @@ class _SortMerge:
         return bool(self.fringe)  # the fringe empties only once every cell has popped
 
     def pop_next(self) -> float:
-        val, i, j = heapq.heappop(self.fringe)
-        self.gauge.pop()
+        fringe, a, b = self.fringe, self.a, self.b
+        val, i, j = heapq.heappop(fringe)
         self.history.append((i, j))
-        advances = 0
-        for ni, nj in ((i + 1, j), (i, j + 1)):
-            if (ni, nj) in self.enqueued:
-                continue
-            if ni > len(self.a):
-                if not self.left.has_more():
-                    continue
-                self.a.append(self.left.pop_next())
+        pushed = advances = 0
+        if j == 1 and (i < len(a) or self.left.has_more()):
+            if i == len(a):
+                a.append(self.left.pop_next())
+                advances = 1
+            heapq.heappush(fringe, (a[i] + b[0], i + 1, 1))
+            pushed = 1
+        if j < len(b) or self.right.has_more():
+            if j == len(b):
+                b.append(self.right.pop_next())
                 advances += 1
-            if nj > len(self.b):
-                if not self.right.has_more():
-                    continue
-                self.b.append(self.right.pop_next())
-                advances += 1
-            self.enqueued.add((ni, nj))
-            heapq.heappush(self.fringe, (self.a[ni - 1] + self.b[nj - 1], ni, nj))
-            self.gauge.push()
+            heapq.heappush(fringe, (a[i - 1] + b[j], i, j + 1))
+            pushed += 1
         if advances > 1 and len(self.history) > 1:
             raise AssertionError("both margins advanced after the first pop")
+        gauge = self.gauge
+        gauge.current += pushed - 1
+        if gauge.current > gauge.peak:
+            gauge.peak = gauge.current
         return val
 
     def index_of(self, t: int) -> tuple[int, ...]:

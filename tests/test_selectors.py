@@ -609,10 +609,12 @@ def test_fast_stats_reused_across_depths_add_this_calls_levels():
 # Every counter below was recorded from the selectors as they stood before the
 # three soft-heap sites shared one settle loop, except the uniform and
 # exponential soft-tensor and soft-tree rows, re-recorded when every selector
-# began to see its axes in ascending order (their heaps start in that order).
-# A refactor that keeps the soft-heap insertion order and the tree shapes
-# keeps them all, so any change here means the work done changed, not just
-# the code.
+# began to see its axes in ascending order (their heaps start in that order),
+# and sort-tree's fringe_peak and sort-tensor's values_generated and
+# fringe_peak, re-recorded when each cell of the sorted selectors got one
+# proposer (the same pops from a smaller fringe).  A refactor that keeps the
+# soft-heap insertion order and the tree shapes keeps them all, so any change
+# here means the work done changed, not just the code.
 
 def _golden_inputs():
     from cartesian_topk.bench import generate_inputs
@@ -637,18 +639,18 @@ _GOLDEN_RUNNERS = {
 _GOLDEN_STATS = {
     ("uniform", "soft-tensor"): ({}, {}, 162, 2, 122),
     ("uniform", "soft-tree"): ({}, {}, 440, 19, 75),
-    ("uniform", "sort-tensor"): ({}, {}, 107, 0, 68),
-    ("uniform", "sort-tree"): ({0: 40.0, 1: 11.5, 2: 5.5}, {}, 85, 0, 30),
+    ("uniform", "sort-tensor"): ({}, {}, 82, 0, 42),
+    ("uniform", "sort-tree"): ({0: 40.0, 1: 11.5, 2: 5.5}, {}, 85, 0, 25),
     ("uniform", "fast-soft-tree"): ({0: 41.0, 1: 22.5}, {0: 41, 1: 45, 2: 41}, 127, 4, 17),
     ("exponential", "soft-tensor"): ({}, {}, 130, 1, 80),
     ("exponential", "soft-tree"): ({}, {}, 382, 14, 77),
-    ("exponential", "sort-tensor"): ({}, {}, 94, 0, 44),
-    ("exponential", "sort-tree"): ({0: 50.0, 1: 10.0, 2: 6.5}, {}, 83, 0, 24),
+    ("exponential", "sort-tensor"): ({}, {}, 66, 0, 16),
+    ("exponential", "sort-tree"): ({0: 50.0, 1: 10.0, 2: 6.5}, {}, 83, 0, 18),
     ("exponential", "fast-soft-tree"): ({0: 51.0, 1: 51.0}, {0: 51, 1: 60, 2: 32}, 143, 4, 16),
     ("ties", "soft-tensor"): ({}, {}, 216, 0, 156),
     ("ties", "soft-tree"): ({}, {}, 734, 1, 87),
-    ("ties", "sort-tensor"): ({}, {}, 221, 0, 161),
-    ("ties", "sort-tree"): ({0: 60.0, 1: 12.0, 2: 4.75, 3: 3.0}, {}, 109, 0, 37),
+    ("ties", "sort-tensor"): ({}, {}, 88, 0, 28),
+    ("ties", "sort-tree"): ({0: 60.0, 1: 12.0, 2: 4.75, 3: 3.0}, {}, 109, 0, 18),
     ("ties", "fast-soft-tree"): ({0: 63.0, 1: 32.5, 2: 41.0},
                                  {0: 63, 1: 65, 2: 71, 3: 20}, 219, 0, 20),
 }
@@ -663,6 +665,82 @@ def test_golden_run_stats(case, name):
     got = (stats.pops_per_level, stats.generated_per_level, stats.values_generated,
            stats.corrupted_count, stats.fringe_peak)
     assert got == _GOLDEN_STATS[case, name]
+
+
+# sha256 of the sorted selectors' pop order, recorded before each cell got
+# exactly one proposer: values, indices (ties pop in a fixed order) and, for
+# sort-tree, pops_per_level, over m = 2..9 on distinct and tie-heavy axes of
+# 2-7 values; m = 2 and 3 run to exhaustion
+_POP_ORDER_DIGESTS = {
+    ("sort-tensor", "distinct"): "bbaf0cfb1530412974e954f0ab0761c4a63f7f9d4eba8005ca70497070836d6b",
+    ("sort-tensor", "ties"): "7a93fbf8733a82c4dd6f283b543c92a397a78fa4a57a185ca29e8f53794f87da",
+    ("sort-tree", "distinct"): "931142b63b3fa411588cda76c10d5fe94ae12a4c4cf8ee28d5f4800f9c5ea178",
+    ("sort-tree", "ties"): "a97c5e2d05dc4a8de85306eea5689d62e4afa9d7ddb84f8841c10e7e9901f43f",
+}
+
+
+def _pop_order_inputs(kind):
+    rng = random.Random(7 if kind == "ties" else 8)
+    for m in range(2, 10):
+        lengths = [rng.randint(2, 7) for _ in range(m)]
+        draw = (lambda: float(rng.randint(0, 3))) if kind == "ties" else rng.random
+        arrays = [[draw() for _ in range(n)] for n in lengths]
+        yield arrays, min(math.prod(lengths), 150)
+
+
+@pytest.mark.parametrize("name,kind", sorted(_POP_ORDER_DIGESTS))
+def test_golden_sorted_pop_order(name, kind):
+    import hashlib
+    trace = []
+    for arrays, k in _pop_order_inputs(kind):
+        if name == "sort-tree":
+            stats = RunStats()
+            result = sort_tree_select(arrays, k, want_indices=True, stats=stats)
+            trace.append((result.values, result.indices, stats.pops_per_level))
+        else:
+            result = sort_tensor_select(arrays, k)
+            trace.append((result.values, result.indices))
+    assert hashlib.sha256(repr(trace).encode()).hexdigest() == _POP_ORDER_DIGESTS[name, kind]
+
+
+@pytest.mark.parametrize("m", range(2, 7))
+def test_sorted_selectors_push_each_cell_once(monkeypatch, m):
+    # nothing at run time drops a repeated push, so record every push while
+    # both sorted selectors run to exhaustion on a tie-heavy grid: each cell
+    # (each merge node's cell, in sort-tree) is pushed once and pops
+    import heapq
+    import types
+
+    import cartesian_topk.selectors as sel
+    pushed = []
+
+    def heappush(heap, item):
+        pushed.append((id(heap), item))
+        heapq.heappush(heap, item)
+
+    monkeypatch.setattr(sel, "heapq", types.SimpleNamespace(heappush=heappush, heappop=heapq.heappop))
+    rng = random.Random(60 + m)
+    lengths = [rng.randint(2, 4) for _ in range(m)]
+    arrays = [[float(rng.randint(0, 2)) for _ in range(n)] for n in lengths]
+    cells = math.prod(lengths)
+    every_cell = set(itertools.product(*(range(1, n + 1) for n in lengths)))
+
+    stats = RunStats()
+    result = sort_tensor_select(arrays, cells, stats=stats)
+    codes = [item[1] for _, item in pushed]
+    assert len(set(codes)) == len(codes) and 0 not in codes  # the root (code 0) is seeded
+    assert set(result.indices) == every_cell
+    assert len(codes) + 1 == stats.values_generated
+
+    pushed.clear()
+    result = sort_tree_select(arrays, cells, want_indices=True)
+    keys = [(heap, item[1], item[2]) for heap, item in pushed]
+    assert len(set(keys)) == len(keys)
+    assert set(result.indices) == every_cell
+    sizes = list(lengths)
+    for left, right in _Tree(m).ops:
+        sizes.append(sizes[left] * sizes[right])
+    assert len(keys) == sum(size - 1 for size in sizes[m:])  # each merge seeds its (1, 1)
 
 
 def test_identical_calls_repeat_values_and_run_stats():
@@ -789,8 +867,8 @@ def merge_advances_both_margins():
     leaves = [sel._SortLeaf(sel.AscendingPrefix([1.0, 2.0, 3.0, 4.0])) for _ in range(2)]
     node = sel._SortMerge(leaves[0], leaves[1], sel._FringeGauge())
     node.pop_next()
-    node.fringe = [(-1.0, 2, 2)]  # (2, 2) next: both (3, 2) and (2, 3) need a new value
-    node.enqueued.add((2, 2))
+    node.b = node.b[:1]  # (2, 1) next: both (3, 1) and (2, 2) need a new value
+    node.fringe = [(-1.0, 2, 1)]
     node.pop_next()
 
 
