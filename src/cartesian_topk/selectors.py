@@ -16,7 +16,7 @@ Every algorithm and the oracle walk one balanced tree shape, ``_Tree``
 node list, so equal index tuples give bit-identical floats across
 algorithms and the oracle, and outputs can be compared as exact
 multisets.  The tree selectors stack their nodes in that list's order;
-in the tensor selectors a child tuple differs from its parent in one
+in the tensor selectors a child cell differs from its parent in one
 axis, so its sum re-adds only that leaf's path, about log2(m) additions.
 """
 
@@ -197,6 +197,15 @@ class _Tree:
         return value
 
 
+def _strides(dims: Sequence[int]) -> list[int]:
+    """Place values of a cell's mixed-radix code (unique, ordered like index
+    tuples): axis 0 is most significant and digit t is ``idx[t] - 1``."""
+    strides = [1] * len(dims)
+    for t in range(len(dims) - 2, -1, -1):
+        strides[t] = strides[t + 1] * dims[t + 1]
+    return strides
+
+
 def theoretical_exponent(alpha: float) -> float:
     """Exponent of m in the layered tree method's runtime: log2(alpha^2)."""
     if alpha <= 0:
@@ -273,26 +282,33 @@ def _tensor_children(idx: tuple[int, ...], dims: Sequence[int]):
 def soft_tensor_select(arrays: Sequence[Sequence[float]], k: int, *,
                        stats: RunStats | None = None,
                        debug_checks: bool = False) -> SelectionResult:
-    """k smallest sums via one soft heap over m-dimensional index tuples."""
+    """k smallest sums via one soft heap over the index tensor, keyed by cell
+    codes (``_strides``) that are decoded only when their entries settle."""
     axes = _validated(arrays, k, stats)  # ascending, so each axis is already a binary heap
     mats = [a.values for a in axes]
     m = len(mats)
     dims = [a.n for a in axes]
     tree = _Tree(m)
+    strides = _strides(dims)
 
     soft = SoftHeap(1.0 / (3 * m))
     insert = soft.insert
-    seen = {(1,) * m} if debug_checks else None
-    insert(tree.partials([a[0] for a in mats])[-1], (1,) * m)
+    seen = {0} if debug_checks else None
+    insert(tree.partials([a[0] for a in mats])[-1], 0)
 
     def propose(e) -> None:
-        idx = e.payload
+        code = rest = e.payload
+        cell = []
+        for s in strides:
+            i, rest = divmod(rest, s)
+            cell.append(i + 1)
+        idx = tuple(cell)
         sums = tree.partials([mats[t][i - 1] for t, i in enumerate(idx)])
         for t, c in _tensor_children(idx, dims):
-            child = idx[:t] + (c,) + idx[t + 1:]
+            child = code + (c - idx[t]) * strides[t]
             if seen is not None:
                 if child in seen:
-                    raise AssertionError(f"tuple {child} proposed twice")
+                    raise AssertionError(f"cell {idx[:t] + (c,) + idx[t + 1:]} proposed twice")
                 seen.add(child)
             try:
                 value = mats[t][c - 1]
@@ -364,21 +380,18 @@ def sort_tensor_select(arrays: Sequence[Sequence[float]], k: int, *,
     proposer, as in ``_tensor_children``: a popped cell that advanced axis t
     over its parent pushes its successors along axes t..m-1 only (the root
     counts as advancing axis 0).  Indices address the ascending order of
-    each axis.  The fringe keys a cell by its mixed-radix code (axis 0 most
-    significant, digit ``idx[t] - 1``): codes are unique and order like the
-    index tuples, so equal sums pop in index-tuple order, a proposer pops
-    before the cell it proposes, and a successor's code is one addition.  A
-    fringe entry keeps its parent's tuple and the advanced axis; the cell's
-    own tuple is built only when it is popped.
+    each axis.  The fringe keys a cell by its code (``_strides``), so equal
+    sums pop in index-tuple order, a proposer pops before the cell it
+    proposes, and a successor's code is one addition.  A fringe entry keeps
+    its parent's tuple and the advanced axis; the cell's own tuple is built
+    only when it is popped.
     """
     axes = _validated(arrays, k, stats)
     mats = [a.values for a in axes]
     m = len(mats)
     dims = [a.n for a in axes]
     tree = _Tree(m)
-    strides = [1] * m
-    for t in range(m - 2, -1, -1):
-        strides[t] = strides[t + 1] * dims[t + 1]
+    strides = _strides(dims)
 
     # (sum, code, parent tuple, advanced axis); the root's parent is a step
     # before it on axis 0

@@ -81,7 +81,7 @@ class SoftHeap:
         self._pending: list[SoftHeapEntry] = []
         self._size = 0
         self._inserts = 0
-        self._corrupted: list[SoftHeapEntry] = []
+        self._corrupted = 0
         self._peak_size = 0
 
     # -- observers ---------------------------------------------------------
@@ -100,15 +100,12 @@ class SoftHeap:
 
     @property
     def corrupted_count(self) -> int:
-        return len(self._corrupted)
+        """Entries corrupted since construction or the last drain."""
+        return self._corrupted
 
     @property
     def peak_size(self) -> int:
         return max(self._peak_size, self._size + len(self._pending))
-
-    def corrupted_entries(self) -> list[SoftHeapEntry]:
-        """Every entry corrupted since construction or the last drain."""
-        return list(self._corrupted)
 
     # -- operations --------------------------------------------------------
 
@@ -148,7 +145,7 @@ class SoftHeap:
         self._pending = []
         self._size = 0
         self._inserts = 0
-        self._corrupted = []
+        self._corrupted = 0
         self._peak_size = 0
         return out
 
@@ -184,7 +181,7 @@ class SoftHeap:
                     _car_pool(node, fresh)
                 other = trees.pop(rank, None)
             trees[rank] = node
-        self._corrupted.extend(fresh)
+        self._corrupted += len(fresh)
 
 
 def _refill(x: _Node) -> None:

@@ -499,13 +499,16 @@ def test_sort_tensor_breaks_ties_by_index_tuple():
 
 
 def test_sort_tensor_at_m256():
-    # 4^256 cells: far past any fixed-width integer that could key a cell
+    # 4^256 cells: far past any fixed-width integer that could key a cell in
+    # either tensor selector.  Float rounding ties the 40 smallest sums, so
+    # soft-tensor's wrong codes would show only as a cell proposed twice.
     rng = random.Random(49)
     arrays = [[rng.uniform(-1, 1) * 10 ** rng.randint(-8, 8) for _ in range(4)]
               for _ in range(256)]
     ordered = [sorted(a) for a in arrays]
     r = sort_tensor_select(arrays, 40)
     assert r.values == sort_tree_select(arrays, 40).values
+    assert sorted(soft_tensor_select(arrays, 40, debug_checks=True).values) == r.values
     for value, idx in zip(r.values, r.indices):
         assert value == balanced_sum([ordered[t][i - 1] for t, i in enumerate(idx)])
 
@@ -701,6 +704,31 @@ def test_golden_sorted_pop_order(name, kind):
             result = sort_tensor_select(arrays, k)
             trace.append((result.values, result.indices))
     assert hashlib.sha256(repr(trace).encode()).hexdigest() == _POP_ORDER_DIGESTS[name, kind]
+
+
+# sha256 of soft-tensor's values in their returned order and every RunStats
+# field, recorded while soft-heap payloads were still index tuples: the
+# returned order is select_k over the pool, so it pins the settle order
+_SOFT_TENSOR_SETTLE_DIGESTS = {
+    "distinct": "c33f56279ff8fdba7e60c9fc2890431f8c868fccdef57f2f799e4d31ab54d85d",
+    "ties": "6c0b569aa0b0578d75e05d7209e2a7df0803914587a56c436a9ed9b8e1aeb88d",
+    "paper-m64": "d94940e09d1af9d3bcdd4bee8eb4e299709ce91f01f684935d9b58349a8ebfb0",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_SOFT_TENSOR_SETTLE_DIGESTS))
+def test_golden_soft_tensor_settle_order(kind):
+    import hashlib
+    if kind == "paper-m64":
+        from cartesian_topk.bench import generate_inputs
+        cases = [(generate_inputs("exponential", 64, 1024, 1), 512)]
+    else:
+        cases = _pop_order_inputs(kind)
+    trace = []
+    for arrays, k in cases:
+        stats = RunStats()
+        trace.append((soft_tensor_select(arrays, k, stats=stats).values, stats))
+    assert hashlib.sha256(repr(trace).encode()).hexdigest() == _SOFT_TENSOR_SETTLE_DIGESTS[kind]
 
 
 @pytest.mark.parametrize("m", range(2, 7))
