@@ -16,7 +16,7 @@ from .selectors import (RunStats, SelectionResult, brute_force_select,
                         fast_soft_tree_select, soft_tensor_select,
                         soft_tree_select, sort_tensor_select, sort_tree_select,
                         theoretical_exponent)
-from .soft_heap import SoftHeap, SoftHeapEntry
+from .soft_heap import SoftHeap
 
 __all__ = [
     "ContractViolation", "GuardError", "InputParseError", "ParameterError",
@@ -27,7 +27,7 @@ __all__ = [
     "RunStats", "SelectionResult", "brute_force_select",
     "fast_soft_tree_select", "soft_tensor_select", "soft_tree_select",
     "sort_tensor_select", "sort_tree_select", "theoretical_exponent",
-    "SoftHeap", "SoftHeapEntry",
+    "SoftHeap",
 ]
 
 __version__ = "0.1.0"

@@ -54,8 +54,8 @@ def soft_select_pairwise(a: Sequence[float], b: Sequence[float], k: int,
     # A cell's payload is its 0-based code i * nb + j, decoded once when it settles.
     insert(heap_a[0] + heap_b[0], 0)
 
-    def propose(e) -> None:
-        i, j = divmod(e.payload, nb)
+    def propose(code) -> None:
+        i, j = divmod(code, nb)
         if j == 0:
             for ci in (2 * i + 1, 2 * i + 2):
                 if ci < na:
@@ -142,12 +142,12 @@ class PairSumNode(LohGenerator):
     extraction per output slot (``pop_and_pool``), and an exact 1-D
     selection over the values settled plus those carried over.
 
-    Settled corrupted entries stay in the heap, yet each layer is exact.
+    Settled corrupted items stay in the heap, yet each layer is exact.
     Take any cell x not yet pooled and not behind a parked pair (the
     concatenation cover does not need those yet).  Its first unsettled
     ancestor y is in the heap, uncorrupted, with key(y) <= x, so every
-    counted extraction settles a distinct entry in this call whose
-    original key is <= key(y) <= x: the pool has ``layer_size`` of them.
+    counted extraction settles a distinct item in this call whose
+    own key is <= key(y) <= x: the pool has ``layer_size`` of them.
     """
 
     __slots__ = ("left", "right", "soft_heap", "purgatory_a", "purgatory_b",
@@ -200,8 +200,8 @@ class PairSumNode(LohGenerator):
 
     # -- internals -------------------------------------------------------------
 
-    def _settle(self, e) -> None:
-        ia, ib = e.payload
+    def _settle(self, cell) -> None:
+        ia, ib = cell
         self.processed_total += 1
         self.live_in_heap -= 1
         if ib == 1:

@@ -79,14 +79,14 @@ class RunStats:
       values popped from every node, leaves included; fast-soft-tree
       counts the values in the generated layers of every node, leaves
       included (the sum of ``generated_per_level``).
-    - ``corrupted_count``: entries a soft heap corrupted, summed over
+    - ``corrupted_count``: items a soft heap corrupted, summed over
       every soft heap of the run (soft-tensor's one heap, every pairwise
       selection of soft-tree, each fast-soft-tree node's one soft heap
       over its lifetime); always 0 for the two sorted selectors.
     - ``fringe_peak``: the most candidates held at once.  soft-tensor
       and sort-tensor count their one heap; soft-tree and fast-soft-tree
       take the largest peak of any single soft heap (settled corrupted
-      entries included); sort-tree counts all its merge fringes together.
+      items included); sort-tree counts all its merge fringes together.
     """
 
     pops_per_level: dict[int, float] = field(default_factory=dict)
@@ -283,7 +283,7 @@ def soft_tensor_select(arrays: Sequence[Sequence[float]], k: int, *,
                        stats: RunStats | None = None,
                        debug_checks: bool = False) -> SelectionResult:
     """k smallest sums via one soft heap over the index tensor, keyed by cell
-    codes (``_strides``) that are decoded only when their entries settle."""
+    codes (``_strides``) that are decoded only when their items settle."""
     axes = _validated(arrays, k, stats)  # ascending, so each axis is already a binary heap
     mats = [a.values for a in axes]
     m = len(mats)
@@ -296,8 +296,8 @@ def soft_tensor_select(arrays: Sequence[Sequence[float]], k: int, *,
     seen = {0} if debug_checks else None
     insert(tree.partials([a[0] for a in mats])[-1], 0)
 
-    def propose(e) -> None:
-        code = rest = e.payload
+    def propose(code) -> None:
+        rest = code
         cell = []
         for s in strides:
             i, rest = divmod(rest, s)

@@ -1,23 +1,23 @@
 """Soft heap: a priority queue that trades exactness for speed.
 
-Entries sit in per-node item lists inside a forest of binary trees, at
-most one tree per rank.  insert only appends to a pending list; the next
-extract_min settles the counters (size, inserts, peak) for all pending
-entries at once and carries each into the forest like a binary
-increment.  A rank-0 tree is always a leaf holding one entry, so a
-pending entry that meets one builds the rank-1 node directly: the
-smaller key (the pending entry's on a tie) goes up, the other stays
-below as its only child.
+Every item is a plain ``(key, payload)`` tuple that is never changed.
+Items sit in per-node lists inside a forest of binary trees, at most one
+tree per rank, and an item's current key is always its node's key.
+insert only appends to a pending list; the next extract_min settles the
+counters (size, inserts, peak) for all pending items at once and
+carries each into the forest like a binary increment.  A rank-0 tree is
+always a leaf holding one item, so a pending item that meets one builds
+the rank-1 node directly: the smaller key (the pending item's on a tie)
+goes up, the other stays below as its only child.
 
-An emptied node refills by pulling up its smaller-key child's list, then
-refilling that child the same way down to a leaf, which raises no key.
-Corruption happens in one place only: a new even-rank node above a
-cutoff derived from epsilon refills once more ("car-pooling") and keeps
-its residents, whose current keys rise to the new node key.  Those
-entries are "corrupted" (current key > original key); at most
-epsilon * I of them ever are, where I counts insertions, and each is
-reported once, by the extract_min that corrupts it.  Keys are never
-lowered.
+An emptied node refills by pulling up its smaller-key child's list
+together with its key, then refilling that child the same way down to a
+leaf, which raises no key.  Corruption happens in one place only: a new
+even-rank node above a cutoff derived from epsilon refills once more
+("car-pooling") and keeps its residents, whose node key rises.  An item
+is "corrupted" iff its key is below its node's key; at most epsilon * I
+items ever are, where I counts insertions, and each is reported once,
+by the extract_min that corrupts it.  Keys are never lowered.
 """
 
 from __future__ import annotations
@@ -27,22 +27,6 @@ import operator
 from typing import Any, Callable
 
 from .errors import ContractViolation, ParameterError
-
-
-class SoftHeapEntry:
-    """One inserted item; ``corrupted`` iff current_key > original_key."""
-
-    __slots__ = ("original_key", "current_key", "payload", "corrupted")
-
-    def __init__(self, key: float, payload: Any):
-        self.original_key = key
-        self.current_key = key
-        self.payload = payload
-        self.corrupted = False
-
-    def __repr__(self):  # pragma: no cover - debugging aid
-        flag = "*" if self.corrupted else ""
-        return f"SoftHeapEntry({self.original_key}->{self.current_key}{flag})"
 
 
 class _Node:
@@ -62,10 +46,10 @@ _node_key = operator.attrgetter("key")
 class SoftHeap:
     """Priority queue with amortized O(1) insert and bounded corruption.
 
-    extract_min returns (entry, newly_corrupted): the entry had the
-    minimum current key, and newly_corrupted lists every live entry whose
-    key was first raised during this call (each entry is reported at most
-    once ever).
+    extract_min returns (item, newly_corrupted, key): the item had the
+    minimum current key, which is ``key``, so it is corrupted iff
+    ``item[0] < key``; newly_corrupted lists every live item first
+    corrupted during this call (each item is reported at most once ever).
     """
 
     def __init__(self, epsilon: float):
@@ -74,11 +58,11 @@ class SoftHeap:
         self.epsilon = float(epsilon)
         # Item lists double only when an even-rank node above this cutoff
         # is created.  At most I/2^r nodes of rank r ever exist and a
-        # rank-r creation corrupts at most 2^((r-cutoff)/2) entries, so the
-        # entries ever corrupted stay below I * 2^-cutoff <= epsilon * I / 2.
+        # rank-r creation corrupts at most 2^((r-cutoff)/2) items, so the
+        # items ever corrupted stay below I * 2^-cutoff <= epsilon * I / 2.
         self._rank_cutoff = math.ceil(math.log2(1.0 / self.epsilon)) + 1
         self._trees: dict[int, _Node] = {}
-        self._pending: list[SoftHeapEntry] = []
+        self._pending: list[tuple[float, Any]] = []
         self._size = 0
         self._inserts = 0
         self._corrupted = 0
@@ -100,7 +84,7 @@ class SoftHeap:
 
     @property
     def corrupted_count(self) -> int:
-        """Entries corrupted since construction or the last drain."""
+        """Items corrupted since construction or the last drain."""
         return self._corrupted
 
     @property
@@ -110,28 +94,29 @@ class SoftHeap:
     # -- operations --------------------------------------------------------
 
     def insert(self, key: float, payload: Any = None) -> None:
-        self._pending.append(SoftHeapEntry(key, payload))
+        self._pending.append((key, payload))
 
-    def extract_min(self) -> tuple[SoftHeapEntry, list[SoftHeapEntry]]:
-        fresh: list[SoftHeapEntry] = []
+    def extract_min(self) -> tuple[tuple[float, Any], list, float]:
+        fresh: list = []
         if self._pending:
             self._consolidate(fresh)
         elif not self._size:
             raise ContractViolation("extract_min from an empty soft heap")
         trees = self._trees
         root = min(trees.values(), key=_node_key)  # first of equal keys
+        key = root.key
         items = root.items
-        entry = items.pop()
+        item = items.pop()
         self._size -= 1
         if not items:
             if root.left is None:
                 del trees[root.rank]
             else:
                 _refill(root)
-        return entry, fresh
+        return item, fresh, key
 
-    def drain(self) -> list[SoftHeapEntry]:
-        """Remove and return every live entry; counters reset to zero."""
+    def drain(self) -> list:
+        """Remove and return every live item; counters reset to zero."""
         out = list(self._pending)
         stack = list(self._trees.values())
         while stack:
@@ -151,7 +136,7 @@ class SoftHeap:
 
     # -- internals ----------------------------------------------------------
 
-    def _consolidate(self, fresh: list[SoftHeapEntry]) -> None:
+    def _consolidate(self, fresh: list) -> None:
         pending = self._pending
         self._pending = []
         self._inserts += len(pending)
@@ -159,18 +144,18 @@ class SoftHeap:
         self._peak_size = max(self._peak_size, self._size)
         trees = self._trees
         cutoff = self._rank_cutoff
-        for entry in pending:
-            key = entry.current_key
+        for item in pending:
+            key = item[0]
             leaf = trees.pop(0, None)
             if leaf is None:
-                trees[0] = _Node(0, key, [entry])
+                trees[0] = _Node(0, key, [item])
                 continue
-            if leaf.key < key:  # rank-0 carry: the smaller key rises, ties to the new entry
+            if leaf.key < key:  # rank-0 carry: the smaller key rises, ties to the new item
                 node = _Node(1, leaf.key, leaf.items, leaf)
                 leaf.key = key
-                leaf.items = [entry]
+                leaf.items = [item]
             else:
-                node = _Node(1, key, [entry], leaf)
+                node = _Node(1, key, [item], leaf)
             rank = 1
             other = trees.pop(1, None)
             while other is not None:
@@ -201,46 +186,48 @@ def _refill(x: _Node) -> None:
         x = y
 
 
-def _car_pool(x: _Node, fresh: list[SoftHeapEntry]) -> None:
+def _car_pool(x: _Node, fresh: list) -> None:
     # The only step that corrupts: x refills once more, keeping its
-    # residents ahead of the list it pulls up, their keys raised to its own.
+    # residents ahead of the list it pulls up, under its new key.  When the
+    # key rises, a resident still at the old key was not corrupted before.
     items, key = x.items, x.key
     _refill(x)
     if x.key > key:
-        for e in items:
-            if not e.corrupted:
-                e.corrupted = True
-                fresh.append(e)
-            e.current_key = x.key
+        fresh.extend([e for e in items if e[0] == key])
     items.extend(x.items)
     x.items = items
 
 
 def pop_and_pool(soft: SoftHeap, pops: int, pool: list,
-                 propose: Callable[[SoftHeapEntry], None]) -> int:
-    """Extract up to ``pops`` times, settling every entry each extraction frees.
+                 propose: Callable[[Any], None]) -> int:
+    """Extract up to ``pops`` times, settling every item each extraction frees.
 
-    An entry settles exactly once: when it is first reported corrupted, or
-    when it is extracted uncorrupted.  Settling appends its original key to
-    ``pool`` and calls ``propose(entry)``, which inserts its children.  The
-    newly corrupted entries of an extraction settle before the extracted
-    one, which fixes the insertion order.  An extraction counts toward
-    ``pops`` unless its entry is corrupted and was first reported before
-    this call, i.e. settled by an earlier call on the same heap.  Stops
-    early once the heap is empty; returns the number of counted extractions.
+    An item settles exactly once: when it is first reported corrupted, or
+    when it is extracted uncorrupted.  Settling appends its key to ``pool``
+    and calls ``propose(payload)``, which inserts its children.  The newly
+    corrupted items of an extraction settle before the extracted one, which
+    fixes the insertion order.  An extraction counts toward ``pops`` unless
+    its item is corrupted and was first reported before this call, i.e.
+    settled by an earlier call on the same heap.  Stops early once the heap
+    is empty; returns the number of counted extractions.
     """
     done = 0
-    reported: set = set()  # entries first reported corrupted in this call
+    # ids of the items first reported corrupted in this call: two distinct
+    # items can compare equal.  An item freed after its extraction may pass
+    # its id on, but only to an item inserted in this call, which if
+    # corrupted is reported in this call too, so the count stays exact.
+    reported: set = set()
     extract = soft.extract_min
     while done < pops and (soft._size or soft._pending):
-        entry, fresh = extract()
+        item, fresh, key = extract()
         if fresh:
-            reported.update(fresh)
-        if not entry.corrupted:
-            fresh.append(entry)
-        for e in fresh:
-            pool.append(e.original_key)
-            propose(e)
-        if not entry.corrupted or entry in reported:
+            reported.update(map(id, fresh))
+        corrupted = item[0] < key
+        if not corrupted:
+            fresh.append(item)
+        for value, payload in fresh:
+            pool.append(value)
+            propose(payload)
+        if not corrupted or id(item) in reported:
             done += 1
     return done

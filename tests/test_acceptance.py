@@ -108,7 +108,7 @@ def test_criterion_3_soft_heap_corruption_bound():
             vals = [rng.random() for _ in range(n)]
             for v in vals:
                 h.insert(v)
-            out = [h.extract_min()[0].original_key for _ in range(n)]
+            out = [h.extract_min()[0][0] for _ in range(n)]
             if out != sorted(vals) or h.corrupted_count != 0:
                 bound_violations += 1
     report(3, bound_violations == 0,

@@ -25,6 +25,7 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 DEAD = {"fast_soft_tree": {"loh.lohify.ns", "loh.lohify.values", "select1d.split_at.ns"}}
 # Pairs still parked when the call ends: 0 on this input.
 MAY_BE_ZERO = {"pairwise.parked"}
+SOFT_HEAP_SELECTORS = {"soft_tensor", "soft_tree", "fast_soft_tree"}
 
 
 def test_tracer_wraps_every_name(monkeypatch):
@@ -54,5 +55,8 @@ def test_tracer_wraps_every_name(monkeypatch):
         idle = [key for key in run.LAYER_METRICS[name]
                 if key not in dead | MAY_BE_ZERO and not metrics[key] > 0]
         assert not idle, (name, idle)
+        if name in SOFT_HEAP_SELECTORS:
+            # the tracer counts the newly corrupted list extract_min returns
+            assert trace.counts["soft_heap.corrupted"] == stats.corrupted_count, name
         if name == "fast_soft_tree":
             assert 0 < metrics["loh.leaf_use_ratio"] <= 1

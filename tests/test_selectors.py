@@ -498,13 +498,34 @@ def test_sort_tensor_breaks_ties_by_index_tuple():
         assert r.values == [value for value, _ in every[:k]]
 
 
-def test_sort_tensor_at_m256():
-    # 4^256 cells: far past any fixed-width integer that could key a cell in
-    # either tensor selector.  Float rounding ties the 40 smallest sums, so
-    # soft-tensor's wrong codes would show only as a cell proposed twice.
+def _m256_float_ties():
     rng = random.Random(49)
-    arrays = [[rng.uniform(-1, 1) * 10 ** rng.randint(-8, 8) for _ in range(4)]
-              for _ in range(256)]
+    return [[rng.uniform(-1, 1) * 10 ** rng.randint(-8, 8) for _ in range(4)]
+            for _ in range(256)]
+
+
+def _m256_distinct():
+    # axis t holds {0, 1 + t/512, 8 + t/512, 9}: the 40 smallest sums are 0
+    # and one 1 + t/512 each, all exact and distinct
+    rng = random.Random(50)
+    arrays = []
+    for t in range(256):
+        a = [0.0, 1 + t * 2 ** -9, 8 + t * 2 ** -9, 9.0]
+        rng.shuffle(a)
+        arrays.append(a)
+    rng.shuffle(arrays)
+    return arrays
+
+
+@pytest.mark.parametrize("make", [_m256_float_ties, _m256_distinct],
+                         ids=["float-ties", "distinct"])
+def test_sort_tensor_at_m256(make):
+    # 4^256 cells: far past any fixed-width integer that could key a cell in
+    # either tensor selector.  On the first input float rounding ties the 40
+    # smallest sums, so soft-tensor's wrong codes would show only as a cell
+    # proposed twice; on the second they are 40 distinct floats, so a wrong
+    # cell also shows in the values.
+    arrays = make()
     ordered = [sorted(a) for a in arrays]
     r = sort_tensor_select(arrays, 40)
     assert r.values == sort_tree_select(arrays, 40).values

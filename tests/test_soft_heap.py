@@ -29,10 +29,10 @@ def test_epsilon_open_interval(eps):
 def test_single_insert_extract():
     h = SoftHeap(0.25)
     h.insert(5.0, "payload")
-    entry, fresh = h.extract_min()
-    assert entry.original_key == 5.0
-    assert entry.payload == "payload"
-    assert not entry.corrupted
+    item, fresh, key = h.extract_min()
+    assert item[0] == 5.0
+    assert item[1] == "payload"
+    assert not item[0] < key
     assert fresh == []
     assert h.size == 0
 
@@ -47,7 +47,7 @@ def test_small_epsilon_extracts_sorted():
     h = SoftHeap(0.01)
     for v in (2.0, 3.0, 1.0):
         h.insert(v)
-    out = [h.extract_min()[0].original_key for _ in range(3)]
+    out = [h.extract_min()[0][0] for _ in range(3)]
     assert out == [1.0, 2.0, 3.0]
 
 
@@ -61,7 +61,7 @@ def test_below_one_over_epsilon_no_corruption():
         vals = [rng.random() for _ in range(n)]
         for v in vals:
             h.insert(v)
-        out = [h.extract_min()[0].original_key for _ in range(n)]
+        out = [h.extract_min()[0][0] for _ in range(n)]
         assert out == sorted(vals)
         assert h.corrupted_count == 0
 
@@ -75,13 +75,16 @@ def test_keys_only_raised_and_bound_holds():
         h.insert(v)
     corrupted = 0
     out = []
+    reported = set()  # ids of the live items reported corrupted so far
     for _ in range(n):
-        entry, fresh = h.extract_min()
-        assert entry.current_key >= entry.original_key
-        for e in fresh:
-            assert e.corrupted and e.current_key > e.original_key
+        item, fresh, key = h.extract_min()
+        assert key >= item[0]
+        reported.update(map(id, fresh))
+        # flagged corrupted iff a newly_corrupted list so far held it, this one included
+        assert (item[0] < key) == (id(item) in reported)
+        reported.discard(id(item))
         corrupted += len(fresh)
-        out.append(entry.original_key)
+        out.append(item[0])
     assert corrupted == h.corrupted_count <= 0.25 * n
     assert Counter(out) == Counter(vals)
 
@@ -93,7 +96,7 @@ def test_corruption_reported_once():
         h.insert(rng.random())
     seen = set()
     while h.size:
-        _, fresh = h.extract_min()
+        fresh = h.extract_min()[1]
         for e in fresh:
             assert id(e) not in seen
             seen.add(id(e))
@@ -114,10 +117,10 @@ def test_adversarial_interleavings_respect_bound():
                     inserted.append(v)
                     live += 1
                 else:
-                    removed.append(h.extract_min()[0].original_key)
+                    removed.append(h.extract_min()[0][0])
                     live -= 1
                 assert h.corrupted_count <= eps * h.insert_count
-            removed.extend(e.original_key for e in h.drain())
+            removed.extend(e[0] for e in h.drain())
             assert Counter(removed) == Counter(inserted)
 
 
@@ -134,11 +137,11 @@ def _tie_heavy_trace(eps, seed, steps):
                 h.insert(float(rng.randint(0, 3)), payload)
                 payload += 1
         else:
-            entry, fresh = h.extract_min()
-            events.append((entry.payload, [e.payload for e in fresh]))
+            item, fresh, _ = h.extract_min()
+            events.append((item[1], [e[1] for e in fresh]))
     while h.size:
-        entry, fresh = h.extract_min()
-        events.append((entry.payload, [e.payload for e in fresh]))
+        item, fresh, _ = h.extract_min()
+        events.append((item[1], [e[1] for e in fresh]))
     digest = hashlib.sha256(repr(events).encode()).hexdigest()
     return digest, h.corrupted_count, h.peak_size, h.insert_count
 
@@ -151,8 +154,8 @@ def _tie_heavy_trace(eps, seed, steps):
 ])
 def test_golden_tie_heavy_trace(eps, seed, steps, expected):
     # every extracted payload and the payloads each extraction first
-    # reported corrupted, in order, pin which entry wins each tie and which
-    # entries a refill corrupts; eps 1/192 is soft-tensor's at m=64
+    # reported corrupted, in order, pin which item wins each tie and which
+    # items a refill corrupts; eps 1/192 is soft-tensor's at m=64
     assert _tie_heavy_trace(eps, seed, steps) == expected
 
 
@@ -165,9 +168,8 @@ def _full_kernel_trace(eps, seed, steps, ties):
     payload = 0
 
     def extract():
-        entry, fresh = h.extract_min()
-        events.append((entry.payload, entry.current_key, entry.corrupted,
-                       [e.payload for e in fresh]))
+        item, fresh, key = h.extract_min()
+        events.append((item[1], key, item[0] < key, [e[1] for e in fresh]))
 
     def counters():
         events.append((h.size, len(h), h.insert_count, h.peak_size, h.corrupted_count))
@@ -216,6 +218,46 @@ def test_golden_full_kernel_trace(eps, ties, seed):
     assert _full_kernel_trace(eps, seed, 6000, ties) == _FULL_KERNEL_DIGESTS[eps, ties, seed]
 
 
+def _pool_calls_digest(eps, seed):
+    # One heap kept across many pop_and_pool calls, as a pair-sum node keeps
+    # it across layers, with keys 0-3 and no payloads, so many items compare
+    # equal; bursts of tied keys arrive between calls and from propose.
+    rng = random.Random(seed)
+    h = SoftHeap(eps)
+
+    def propose(_):
+        if rng.random() < 0.3:
+            h.insert(float(rng.randint(0, 3)))
+
+    for _ in range(600):
+        h.insert(float(rng.randint(0, 3)))
+    calls = []
+    while len(h):
+        for _ in range(rng.randint(0, 3)):
+            h.insert(float(rng.randint(0, 3)))
+        pool: list = []
+        done = pop_and_pool(h, (1, 3, 7)[len(calls) % 3], pool, propose)
+        calls.append((done, sorted(pool)))
+    return hashlib.sha256(repr(calls).encode()).hexdigest()
+
+
+# (eps, seed) -> sha256 of every call's result; 0.25 and 0.4 share a rank
+# cutoff, so they draw other seeds
+_POOL_CALLS_DIGESTS = {
+    (0.1, 1): "fef6b7de41de1892a8c830e645bc7053cd132e5e73725c6d77b4887dc7396783",
+    (0.25, 2): "5f8b238003f54fe32048900decde49ba358aec2fd756ef076817b7bc82882eb7",
+    (0.4, 3): "8c26d9e8d52e00d6858bf201fe4adf1c78496e5b75fbfde0a5b115bb7394cffc",
+}
+
+
+@pytest.mark.parametrize("eps, seed", sorted(_POOL_CALLS_DIGESTS))
+def test_golden_pop_and_pool_on_equal_items(eps, seed):
+    # every call's counted extractions and pooled keys: an extraction of an
+    # item an earlier call settled as corrupted must not count, even when an
+    # equal item was first reported corrupted in this call
+    assert _pool_calls_digest(eps, seed) == _POOL_CALLS_DIGESTS[eps, seed]
+
+
 def test_drain_empty():
     assert SoftHeap(0.25).drain() == []
 
@@ -225,7 +267,7 @@ def test_drain_returns_original_keys():
     h.insert(4.0, "a")
     h.insert(1.0, "b")
     drained = h.drain()
-    assert Counter(e.original_key for e in drained) == Counter([1.0, 4.0])
+    assert Counter(e[0] for e in drained) == Counter([1.0, 4.0])
     assert h.size == 0
     assert h.insert_count == 0
 
@@ -247,13 +289,13 @@ def test_completeness_extractions_plus_drain():
     vals = [rng.random() for _ in range(2000)]
     for v in vals:
         h.insert(v)
-    got = [h.extract_min()[0].original_key for _ in range(700)]
-    got += [e.original_key for e in h.drain()]
+    got = [h.extract_min()[0][0] for _ in range(700)]
+    got += [e[0] for e in h.drain()]
     assert Counter(got) == Counter(vals)
 
 
 def test_corrupted_count_matches_reported():
-    # the heap counts corruptions without keeping the entries; drain resets it
+    # the heap counts corruptions without keeping the items; drain resets it
     h = SoftHeap(0.4)
     rng = random.Random(17)
     for _ in range(4000):
@@ -268,13 +310,13 @@ def test_corrupted_count_matches_reported():
 
 def test_pop_and_pool_skips_entries_an_earlier_call_settled():
     # A heap kept across calls, as a pair-sum node keeps it across layers:
-    # entries the first call settled as corrupted stay in the heap, and the
+    # items the first call settled as corrupted stay in the heap, and the
     # second call must neither pool them again nor count their extraction.
     rng = random.Random(13)
     keys = [rng.random() for _ in range(300)]
     h = SoftHeap(0.25)
-    for x in keys:
-        h.insert(x)
+    for i, x in enumerate(keys):
+        h.insert(x, i)
     settled: list = []
     first: list = []
     assert pop_and_pool(h, 30, first, settled.append) == 30
@@ -283,6 +325,6 @@ def test_pop_and_pool_skips_entries_an_earlier_call_settled():
     unsettled = len(keys) - len(settled)
     second: list = []
     assert pop_and_pool(h, unsettled, second, settled.append) == unsettled
-    assert len({id(e) for e in settled}) == len(settled) == len(keys)
+    assert len(set(settled)) == len(settled) == len(keys)
     assert len(second) == unsettled
     assert Counter(first + second) == Counter(keys)
