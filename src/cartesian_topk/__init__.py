@@ -9,9 +9,9 @@ values or counters.
 
 from .errors import ContractViolation, GuardError, InputParseError, ParameterError
 from .loh import (LayerOrderedHeap, LayerSchedule, LeafGenerator, LohGenerator,
-                  children_of, layer_schedule, lohify, verify_loh)
+                  children_of, lohify, select_k_loh, verify_loh)
 from .pairwise import PairSumNode, concatenation_select, soft_select_pairwise
-from .select1d import select_k, select_k_loh
+from .select1d import select_k
 from .selectors import (RunStats, SelectionResult, brute_force_select,
                         fast_soft_tree_select, soft_tensor_select,
                         soft_tree_select, sort_tensor_select, sort_tree_select,
@@ -21,9 +21,9 @@ from .soft_heap import SoftHeap
 __all__ = [
     "ContractViolation", "GuardError", "InputParseError", "ParameterError",
     "LayerOrderedHeap", "LayerSchedule", "LeafGenerator", "LohGenerator",
-    "children_of", "layer_schedule", "lohify", "verify_loh",
+    "children_of", "lohify", "select_k_loh", "verify_loh",
     "PairSumNode", "concatenation_select", "soft_select_pairwise",
-    "select_k", "select_k_loh",
+    "select_k",
     "RunStats", "SelectionResult", "brute_force_select",
     "fast_soft_tree_select", "soft_tensor_select", "soft_tree_select",
     "sort_tensor_select", "sort_tree_select", "theoretical_exponent",

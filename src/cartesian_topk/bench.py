@@ -151,12 +151,12 @@ def run(config: BenchConfig) -> BenchReport:
     rows: list[dict] = []
     violations: list[str] = []
     max_level = -1
+    # A file is read once; every replicate runs on the same arrays.
+    arrays = ingest_file(config.input_file) if config.distribution == "file" else None
 
     for rep in range(config.replicates):
         rep_seed = config.seed + rep
-        if config.distribution == "file":
-            arrays = ingest_file(config.input_file)
-        else:
+        if config.distribution != "file":
             arrays = generate_inputs(config.distribution, config.m, config.n, rep_seed)
         total = math.prod(len(a) for a in arrays)
         if config.k > total:

@@ -1,7 +1,9 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 1 usage error or unwritable output, 2 input parse
-error or unreadable input file, 3 oracle validation failure.
+Exit codes: 0 success, 1 usage error, unwritable output or a run that
+runs out of memory, 2 input parse error or unreadable input file, 3
+oracle validation failure.  Each error prints one stderr line, never a
+traceback.
 """
 
 from __future__ import annotations
@@ -90,6 +92,10 @@ def main(argv: list[str] | None = None) -> int:
                 return EXIT_PARSE
             except (ParameterError, ContractViolation, GuardError) as exc:
                 print(f"usage error: {exc}", file=sys.stderr)
+                return EXIT_USAGE
+            except MemoryError:
+                print("memory error: the run needs more memory than is available; "
+                      "lower --k, --m or --n", file=sys.stderr)
                 return EXIT_USAGE
             out.write(render_csv(report))
     except OSError as exc:

@@ -3,15 +3,17 @@
 A layer-ordered heap of rank alpha partitions values into layers
 L1, L2, ... with max(L_i) <= min(L_{i+1}); intra-layer order is
 arbitrary and consecutive layer sizes approach the ratio alpha.
-This module provides the layer-size schedule, linear-time construction
-by repeated partitioning (``lohify``), the structural verifier, the
-parent/child offset arithmetic between adjacent layers, and
-``LohGenerator``, the one base of every generator that streams layers
-on demand: it keeps the generated values, layer count and running
-maxima, and answers every query about them, while ``LeafGenerator``
-and ``pairwise.PairSumNode`` only say how the next layer is made.
-A leaf slices each layer off an ``AscendingPrefix``, its axis realized
-in ascending order only as far as it is read.
+This module provides the layer-size schedule, the parent/child offset
+arithmetic between adjacent layers, ``LayerOrderedHeap`` with its
+structural verifier, linear-time construction by repeated partitioning
+(``lohify``), k-selection through it (``select_k_loh``), and
+``LohGenerator``: a layer-ordered heap still being filled, the one base
+of every generator that streams layers on demand.  The base keeps the
+generated values, layer count and running maximum and answers every
+query about them, while ``LeafGenerator`` and ``pairwise.PairSumNode``
+only say how the next layer is made.  A leaf slices each layer off an
+``AscendingPrefix``, its axis realized in ascending order only as far as
+it is read.
 """
 
 from __future__ import annotations
@@ -119,11 +121,6 @@ class LayerSchedule:
             totals.append(t)
 
 
-def layer_schedule(alpha: float, n: int) -> LayerSchedule:
-    """Build the layer-size schedule for ``n`` items at rank ``alpha``."""
-    return LayerSchedule(alpha, n)
-
-
 def children_of(schedule: LayerSchedule, i: int, j: int) -> tuple[int, ...]:
     """Offsets in layer i+1 of the children of offset j in layer i.
 
@@ -146,7 +143,8 @@ def children_of(schedule: LayerSchedule, i: int, j: int) -> tuple[int, ...]:
 
 
 class LayerOrderedHeap:
-    """A permutation of the input stored flat, layered by a schedule."""
+    """Values stored flat, layered by a schedule; ``values`` may be a
+    generated prefix of the ``schedule.n`` values, whole layers only."""
 
     __slots__ = ("values", "schedule")
 
@@ -160,8 +158,10 @@ class LayerOrderedHeap:
 
     def layer(self, i: int) -> list:
         """The values of layer i (copy; intra-layer order is arbitrary)."""
-        start = self.schedule.total(i - 1) if i > 1 else 0
-        return self.values[start:self.schedule.total(i)]
+        end = self.schedule.total(i)
+        if end > len(self.values):
+            raise ContractViolation(f"layer {i} not generated yet")
+        return self.values[self.schedule.total(i - 1) if i > 1 else 0:end]
 
 
 def lohify(values: Sequence[float], alpha: float) -> LayerOrderedHeap:
@@ -192,49 +192,82 @@ def _multi_split(a: list, lo: int, hi: int, bounds: list[int], blo: int, bhi: in
 
 
 def verify_loh(heap: LayerOrderedHeap) -> bool:
-    """True iff sizes match the schedule and max(L_i) <= min(L_{i+1})."""
+    """True iff every layer is present and max(L_i) <= min(L_{i+1})."""
     sched = heap.schedule
     if len(heap.values) != sched.n:
         return False
-    prev_max = None
-    pos = 0
+    prev_max = -math.inf
     for i in range(1, sched.num_layers + 1):
-        size = sched.size(i)
-        if size <= 0:
-            return False
-        block = heap.values[pos:pos + size]
-        if len(block) != size:
-            return False
-        lo = min(block)
-        if prev_max is not None and lo < prev_max:
+        block = heap.layer(i)
+        if min(block) < prev_max:
             return False
         prev_max = max(block)
-        pos += size
-    return pos == len(heap.values)
+    return True
 
 
-class LohGenerator:
-    """A source of layer-ordered values produced one whole layer at a time.
+def select_k_loh(values: Sequence[float], k: int, alpha: float) -> list:
+    """select_k implemented through layer-ordered partitioning.
+
+    Layers are accumulated smallest-first until the running total reaches
+    k; the layer that overshoots is itself layer-partitioned and the
+    search continues inside it, following the recurrence
+    r(k) = k + r((alpha - 1) * k).
+    """
+    if not 1.0 < alpha < 2.0:
+        raise ParameterError(f"alpha must lie in (1, 2), got {alpha}")
+    vals = list(values)
+    n = len(vals)
+    if k < 1 or k > n:
+        raise ContractViolation(f"k={k} outside [1, {n}]")
+
+    out: list = []
+    segment = vals
+    need = k
+    while need > 0:
+        if need >= len(segment):
+            out.extend(segment)
+            break
+        heap = lohify(segment, alpha)
+        acc = 0
+        overshoot = None
+        for i in range(1, heap.num_layers + 1):
+            layer = heap.layer(i)
+            if acc + len(layer) <= need:
+                out.extend(layer)
+                acc += len(layer)
+                if acc == need:
+                    break
+            else:
+                overshoot = layer
+                break
+        need -= acc
+        if need == 0:
+            break
+        segment = overshoot
+    return out
+
+
+class LohGenerator(LayerOrderedHeap):
+    """A layer-ordered heap still being filled, one whole layer at a time.
 
     ``values`` holds exactly the generated layers flat, smallest layer
-    first, and ``schedule`` alone fixes every layer's size.  A subclass
-    supplies only how a layer is made: its constructor and
-    ``generate_next_layer`` append the next layer's
-    ``schedule.size(layer_count + 1)`` values to ``values`` and call
-    ``_close_layer``.  The constructor makes the first layer, and
+    first, and ``schedule`` alone fixes every layer's size, so ``layer(i)``
+    refuses a layer not generated yet.  A subclass supplies only how a
+    layer is made: its constructor and ``generate_next_layer`` append the
+    next layer's ``schedule.size(layer_count + 1)`` values to ``values``
+    and call ``_close_layer``.  The constructor makes the first layer, and
     ``generate_next_layer`` does nothing once ``has_more_layers()`` is
     false.  Layers are immutable once generated, so ``max_generated``
     never decreases.
     """
 
-    __slots__ = ("values", "schedule", "layer_count", "generated_count", "_maxima")
+    __slots__ = ("layer_count", "generated_count", "_max")
 
     def __init__(self, values: list, schedule: LayerSchedule):
-        self.values = values
-        self.schedule = schedule
+        super().__init__(values, schedule)
         self.layer_count = 0
         self.generated_count = 0
-        self._maxima: list = []  # running maximum through each layer
+        self._max = -math.inf  # maximum of the generated values
 
     def generate_next_layer(self) -> None:
         raise NotImplementedError
@@ -244,22 +277,14 @@ class LohGenerator:
         top = max(self.values[self.generated_count:])
         self.layer_count += 1
         self.generated_count = self.schedule.total(self.layer_count)
-        if self._maxima and self._maxima[-1] > top:
-            top = self._maxima[-1]
-        self._maxima.append(top)
+        if top >= self._max:
+            self._max = top
 
     def has_more_layers(self) -> bool:
         return self.generated_count < self.schedule.n
 
-    def layer(self, i: int) -> list:
-        """The values of generated layer i (copy; intra-layer order is arbitrary)."""
-        if i < 1 or i > self.layer_count:
-            raise ContractViolation(f"layer {i} not generated yet")
-        start = self.schedule.total(i - 1) if i > 1 else 0
-        return self.values[start:self.schedule.total(i)]
-
     def max_generated(self) -> float:
-        return self._maxima[-1]
+        return self._max
 
     def size_of_last_layer(self) -> int:
         return self.schedule.size(self.layer_count)
@@ -268,12 +293,8 @@ class LohGenerator:
     def total_size(self) -> int:
         return self.schedule.n
 
-    def value_at(self, pos: int) -> float:
-        """Value at a 1-based flat position within the generated prefix."""
-        return self.values[pos - 1]
-
     def min_value(self) -> float:
-        return self.value_at(1)
+        return self.values[0]
 
 
 class LeafGenerator(LohGenerator):

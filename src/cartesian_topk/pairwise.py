@@ -22,7 +22,7 @@ import heapq
 from typing import Sequence
 
 from .errors import ContractViolation
-from .loh import LohGenerator, layer_schedule
+from .loh import LayerSchedule, LohGenerator
 from .select1d import select_k, split_smallest
 from .soft_heap import SoftHeap, pop_and_pool
 
@@ -153,11 +153,11 @@ class PairSumNode(LohGenerator):
     __slots__ = ("left", "right", "soft_heap", "purgatory_a", "purgatory_b",
                  "purgatory_ab", "carryover", "_left_min", "_right_min",
                  "_seen_a", "_seen_b", "pops_total", "proposed_total",
-                 "processed_total", "live_in_heap", "_debug_cells")
+                 "processed_total", "_debug_cells")
 
     def __init__(self, left: LohGenerator, right: LohGenerator, alpha: float,
                  debug_accounting: bool = False):
-        super().__init__([], layer_schedule(alpha, left.total_size * right.total_size))
+        super().__init__([], LayerSchedule(alpha, left.total_size * right.total_size))
         self.left = left
         self.right = right
         self.soft_heap = SoftHeap(DEFAULT_EPSILON)
@@ -173,7 +173,6 @@ class PairSumNode(LohGenerator):
         self.pops_total = 0
         self.proposed_total = 0
         self.processed_total = 0
-        self.live_in_heap = 0
         self._debug_cells = set() if debug_accounting else None
         self._propose(1, 1)
         self.generate_next_layer()
@@ -203,7 +202,6 @@ class PairSumNode(LohGenerator):
     def _settle(self, cell) -> None:
         ia, ib = cell
         self.processed_total += 1
-        self.live_in_heap -= 1
         if ib == 1:
             for ca in self.left.schedule.child_positions(ia):
                 self._propose(ca, 1)
@@ -228,7 +226,6 @@ class PairSumNode(LohGenerator):
         b_ready = ib <= self.right.generated_count
         if a_ready and b_ready:
             self.soft_heap.insert(self.left.values[ia - 1] + self.right.values[ib - 1], (ia, ib))
-            self.live_in_heap += 1
         elif not a_ready and not b_ready:
             self.purgatory_ab.append((ia, ib))
         elif not a_ready:

@@ -3,10 +3,10 @@
 ``split_at`` partitions with ``np.partition``, NumPy's introselect:
 deterministic and linear in the worst case, so every result and every
 counter built on it depends on the input alone.  ``select_k`` is one
-such split; ``select_k_loh`` implements the same contract by repeatedly
-partitioning into geometrically growing layers and recursing into the
-layer that overshoots the selection threshold.  ``AscendingPrefix``
-sorts an array only as far as it is read, one partition per growth.
+such split, and ``split_smallest`` one that keeps both sides;
+``loh.select_k_loh`` meets the same contract through layer-ordered
+heaps.  ``AscendingPrefix`` sorts an array only as far as it is read,
+one partition per growth.
 
 Values are compared and returned as the array NumPy builds from them,
 so a list mixing floats with ints past 2**53 may be compared after
@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ContractViolation, ParameterError
+from .errors import ContractViolation
 
 
 def split_at(a: list, lo: int, hi: int, rank: int) -> None:
@@ -79,47 +79,3 @@ class AscendingPrefix:
             block.sort()
             self.values.extend(block[have:].tolist())
         return self.values
-
-
-def select_k_loh(values: Sequence[float], k: int, alpha: float) -> list:
-    """select_k implemented through layer-ordered partitioning.
-
-    Layers are accumulated smallest-first until the running total reaches
-    k; the layer that overshoots is itself layer-partitioned and the
-    search continues inside it, following the recurrence
-    r(k) = k + r((alpha - 1) * k).
-    """
-    if not 1.0 < alpha < 2.0:
-        raise ParameterError(f"alpha must lie in (1, 2), got {alpha}")
-    vals = list(values)
-    n = len(vals)
-    if k < 1 or k > n:
-        raise ContractViolation(f"k={k} outside [1, {n}]")
-
-    from .loh import lohify  # deferred: loh builds on the partition helpers above
-
-    out: list = []
-    segment = vals
-    need = k
-    while need > 0:
-        if need >= len(segment):
-            out.extend(segment)
-            break
-        heap = lohify(segment, alpha)
-        acc = 0
-        overshoot = None
-        for i in range(1, heap.num_layers + 1):
-            layer = heap.layer(i)
-            if acc + len(layer) <= need:
-                out.extend(layer)
-                acc += len(layer)
-                if acc == need:
-                    break
-            else:
-                overshoot = layer
-                break
-        need -= acc
-        if need == 0:
-            break
-        segment = overshoot
-    return out

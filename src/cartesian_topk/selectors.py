@@ -535,10 +535,9 @@ def fast_soft_tree_select(arrays: Sequence[Sequence[float]], k: int, alpha: floa
     internal nodes generate their sum layers on demand, so each level of
     the tree produces only about alpha^2 times the values of the level
     above it.  The root generates layers until it holds k values, then an
-    exact 1-D selection finishes.
+    exact 1-D selection finishes.  The first leaf's ``LayerSchedule``
+    refuses an alpha outside (1, 2) with ``ParameterError``.
     """
-    if not 1.0 < alpha < 2.0:
-        raise ParameterError(f"alpha must lie in (1, 2), got {alpha}")
     axes = _validated(arrays, k, stats)
     m = len(axes)
     tree = _Tree(m)

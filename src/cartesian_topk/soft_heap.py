@@ -70,10 +70,6 @@ class SoftHeap:
 
     # -- observers ---------------------------------------------------------
 
-    @property
-    def size(self) -> int:
-        return self._size + len(self._pending)
-
     def __len__(self) -> int:
         return self._size + len(self._pending)
 

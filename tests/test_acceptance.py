@@ -14,8 +14,8 @@ from collections import Counter
 
 import numpy as np
 
-from cartesian_topk import (LeafGenerator, RunStats, SoftHeap, brute_force_select,
-                            concatenation_select, fast_soft_tree_select, layer_schedule,
+from cartesian_topk import (LayerSchedule, LeafGenerator, RunStats, SoftHeap,
+                            brute_force_select, concatenation_select, fast_soft_tree_select,
                             lohify, select_k, select_k_loh, soft_tensor_select,
                             soft_tree_select, sort_tensor_select, sort_tree_select,
                             theoretical_exponent, verify_loh)
@@ -120,7 +120,7 @@ def test_criterion_4_loh_invariants():
     rng = random.Random(4)
     schedule_ok = True
     for alpha in ALPHA_GRID:
-        sched = layer_schedule(alpha, 10 ** 6)
+        sched = LayerSchedule(alpha, 10 ** 6)
         full = [sched.full_size(i) for i in range(1, sched.num_layers + 1)]
         for i, (a, b) in enumerate(zip(full, full[1:]), start=1):
             if not a <= b <= 2 * a:

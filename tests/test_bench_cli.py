@@ -1,8 +1,13 @@
+import os
 import statistics
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cartesian_topk
 from cartesian_topk import InputParseError
 from cartesian_topk.bench import (BenchConfig, csv_header, generate_inputs,
                                   ingest_file, render_csv, run)
@@ -122,6 +127,23 @@ def test_run_k_too_large():
     from cartesian_topk import ParameterError
     with pytest.raises(ParameterError):
         run(BenchConfig(algorithm="sort-tree", m=2, n=2, k=5))
+
+
+def test_run_reads_input_file_once(tmp_path, monkeypatch):
+    import cartesian_topk.bench as bench
+    p = tmp_path / "in.txt"
+    p.write_text("1 2 3\n4 5\n")
+    calls = []
+
+    def counting(path):
+        calls.append(path)
+        return ingest_file(path)
+
+    monkeypatch.setattr(bench, "ingest_file", counting)
+    report = run(BenchConfig(algorithm="sort-tree", distribution="file",
+                             input_file=str(p), k=3, replicates=3))
+    assert calls == [str(p)]
+    assert len(report.rows) == 3
 
 
 def test_run_validation_detects_fault(monkeypatch):
@@ -318,3 +340,34 @@ def test_cli_fast_soft_tree_beyond_float_range(capsys):
     captured = capsys.readouterr()
     assert captured.err == ""
     assert captured.out.count("\n") == 2  # header + one row
+
+
+def test_cli_memory_error_is_one_line(monkeypatch, capsys):
+    def out_of_memory(config):
+        raise MemoryError
+    monkeypatch.setattr("cartesian_topk.cli.run", out_of_memory)
+    assert main(["--algorithm", "sort-tree", "--m", "2", "--n", "4", "--k", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("memory error:")
+
+
+def test_cli_out_of_address_space_prints_no_traceback():
+    # a real MemoryError: the child caps its own address space at 256 MiB,
+    # then runs the CLI, whose sort-tree run outgrows it building k outputs
+    pytest.importorskip("resource")
+    child = ("import resource, runpy; limit = 256 * 2**20; "
+             "resource.setrlimit(resource.RLIMIT_AS, (limit, limit)); "
+             "runpy.run_module('cartesian_topk.cli', run_name='__main__')")
+    src = str(Path(cartesian_topk.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", child, "--algorithm", "sort-tree",
+         "--m", "2", "--n", "20000", "--k", "50000000"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    err = proc.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("memory error:")

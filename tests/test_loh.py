@@ -6,7 +6,7 @@ import pytest
 
 from cartesian_topk import (ContractViolation, LayerOrderedHeap, LayerSchedule,
                             LeafGenerator, PairSumNode, ParameterError, children_of,
-                            layer_schedule, lohify, verify_loh)
+                            lohify, verify_loh)
 
 ALPHA_GRID = (1.05, 1.1, 1.3, 1.5, 1.9)
 
@@ -17,22 +17,22 @@ def sizes_of(schedule):
 
 def test_schedule_alpha_19_n8():
     # hand recurrence: totals 1, 2, 4, 8 -> sizes 1, 1, 2, 4
-    assert sizes_of(layer_schedule(1.9, 8)) == [1, 1, 2, 4]
+    assert sizes_of(LayerSchedule(1.9, 8)) == [1, 1, 2, 4]
 
 
 def test_schedule_alpha_11_n5():
     # ceil(1.1 * T) == T + 1 while T <= 9, so five singleton layers
-    assert sizes_of(layer_schedule(1.1, 5)) == [1, 1, 1, 1, 1]
+    assert sizes_of(LayerSchedule(1.1, 5)) == [1, 1, 1, 1, 1]
 
 
 def test_schedule_n1():
     for alpha in ALPHA_GRID:
-        assert sizes_of(layer_schedule(alpha, 1)) == [1]
+        assert sizes_of(LayerSchedule(alpha, 1)) == [1]
 
 
 def test_schedule_first_two_totals():
     for alpha in ALPHA_GRID:
-        sched = layer_schedule(alpha, 100)
+        sched = LayerSchedule(alpha, 100)
         assert sched.total(1) == 1
         assert sched.total(2) == 2
 
@@ -40,13 +40,13 @@ def test_schedule_first_two_totals():
 def test_schedule_alpha_validation():
     for alpha in (1.0, 2.0, 0.5, 2.5):
         with pytest.raises(ParameterError):
-            layer_schedule(alpha, 10)
+            LayerSchedule(alpha, 10)
 
 
 def test_schedule_growth_bounds():
     # full layers: c_i <= c_{i+1} <= 2 c_i, for every alpha up to n = 10^6
     for alpha in ALPHA_GRID:
-        sched = layer_schedule(alpha, 10**6)
+        sched = LayerSchedule(alpha, 10**6)
         full = [sched.full_size(i) for i in range(1, sched.num_layers + 1)]
         for a, b in zip(full, full[1:]):
             assert a <= b <= 2 * a, (alpha, a, b)
@@ -54,7 +54,7 @@ def test_schedule_growth_bounds():
 
 def test_schedule_ratio_convergence():
     for alpha in ALPHA_GRID:
-        sched = layer_schedule(alpha, 10**6)
+        sched = LayerSchedule(alpha, 10**6)
         for i in range(1, sched.num_layers - 1):
             if sched.total(i) >= 1000:
                 ratio = sched.full_size(i + 1) / sched.full_size(i)
@@ -62,7 +62,7 @@ def test_schedule_ratio_convergence():
 
 
 def test_layer_of_roundtrip():
-    sched = layer_schedule(1.3, 500)
+    sched = LayerSchedule(1.3, 500)
     pos = 1
     for i in range(1, sched.num_layers + 1):
         for off in range(1, sched.size(i) + 1):
@@ -106,31 +106,50 @@ def test_lohify_is_permutation_and_verifies():
 
 
 def test_verify_loh_rejects_bad_order():
-    sched = layer_schedule(1.9, 3)  # sizes [1, 1, 1]
+    sched = LayerSchedule(1.9, 3)  # sizes [1, 1, 1]
     assert not verify_loh(LayerOrderedHeap([2.0, 1.0, 3.0], sched))
 
 
 def test_verify_loh_equal_boundary_allowed():
-    sched = layer_schedule(1.9, 3)
+    sched = LayerSchedule(1.9, 3)
     assert verify_loh(LayerOrderedHeap([1.0, 1.0, 1.0], sched))
+
+
+def test_layer_refuses_what_is_not_there():
+    # one layer(i) for both kinds of heap: a lohified heap returns every
+    # layer; a generator, or a heap whose values stop short of its schedule,
+    # refuses the first layer it lacks and any layer past the schedule
+    h = lohify([5, 3, 7, 1, 6, 2, 4], 1.9)
+    assert [len(h.layer(i)) for i in range(1, h.num_layers + 1)] == [1, 1, 2, 3]
+    gen = LeafGenerator([5, 3, 7, 1, 6, 2, 4], 1.9)
+    gen.generate_next_layer()
+    assert gen.layer(2) == [2.0]
+    for heap, missing in ((gen, 3), (gen, gen.num_layers + 1), (h, h.num_layers + 1)):
+        with pytest.raises(ContractViolation):
+            heap.layer(missing)
+    short = LayerOrderedHeap([1.0, 2.0, 3.0], LayerSchedule(1.9, 4))  # sizes [1, 1, 2]
+    assert short.layer(2) == [2.0]
+    with pytest.raises(ContractViolation, match="layer 3 not generated yet"):
+        short.layer(3)
+    assert not verify_loh(short)
 
 
 def test_children_of_two_then_three():
     # alpha=1.5 gives full sizes 1,1,1,2,3,...; layers 4 and 5 are (2, 3)
-    sched = layer_schedule(1.5, 27)
+    sched = LayerSchedule(1.5, 27)
     assert sched.full_size(4) == 2 and sched.full_size(5) == 3
     assert children_of(sched, 4, 1) == (1, 2)
     assert children_of(sched, 4, 2) == (3,)
 
 
 def test_children_of_singleton_chain():
-    sched = layer_schedule(1.1, 5)  # all singleton layers
+    sched = LayerSchedule(1.1, 5)  # all singleton layers
     assert children_of(sched, 1, 1) == (1,)
 
 
 def test_children_of_full_doubling():
     # alpha=1.9 gives sizes 1,1,2,4,8: layer 4 -> 5 doubles every offset
-    sched = layer_schedule(1.9, 16)
+    sched = LayerSchedule(1.9, 16)
     seen = []
     for j in range(1, 5):
         kids = children_of(sched, 4, j)
@@ -144,7 +163,7 @@ def test_children_partition_next_layer():
     for _ in range(50):
         alpha = rng.choice(ALPHA_GRID)
         n = rng.randint(2, 5000)
-        sched = layer_schedule(alpha, n)
+        sched = LayerSchedule(alpha, n)
         for i in range(1, sched.num_layers):
             seen = []
             for j in range(1, sched.full_size(i) + 1):
@@ -153,7 +172,7 @@ def test_children_partition_next_layer():
 
 
 def test_children_of_range_checks():
-    sched = layer_schedule(1.5, 27)
+    sched = LayerSchedule(1.5, 27)
     with pytest.raises(ContractViolation):
         children_of(sched, sched.num_layers, 1)  # no next layer
     with pytest.raises(ContractViolation):
@@ -165,7 +184,7 @@ def test_child_positions_match_children_of(alpha):
     # flat-position children equal the layer offset map of children_of,
     # truncated to n, on fresh schedules that extend their totals lazily
     for n in [*range(1, 121), 10**30]:
-        sched, ref = layer_schedule(alpha, n), layer_schedule(alpha, n)
+        sched, ref = LayerSchedule(alpha, n), LayerSchedule(alpha, n)
         for pos in range(1, min(n, 3000) + 1):
             layer, offset = ref.layer_of(pos)
             want = ()
@@ -173,7 +192,7 @@ def test_child_positions_match_children_of(alpha):
                 base = ref.total(layer)
                 want = tuple(base + c for c in children_of(ref, layer, offset) if base + c <= n)
             assert sched.child_positions(pos) == want, (n, pos)
-    sched = layer_schedule(alpha, 50)
+    sched = LayerSchedule(alpha, 50)
     for pos in (0, 51):
         with pytest.raises(ContractViolation):
             sched.child_positions(pos)
@@ -230,13 +249,14 @@ def test_leaf_generator_streams_layers(make):
     assert gen.layer_count == layers
     with pytest.raises(ContractViolation):
         gen.layer(layers + 1)
+    assert verify_loh(gen)
 
 
 def test_schedule_totals_on_demand():
     # a product of sizes far beyond float range: only the totals asked for
     # are computed, with the same recurrence as a small schedule
     huge = LayerSchedule(1.1, 2**2000)
-    small = layer_schedule(1.1, 10**6)
+    small = LayerSchedule(1.1, 10**6)
     assert huge.total(40) == small.total(40)
     assert huge.size(40) == small.size(40)
     assert huge.layer_of(small.total(40)) == small.layer_of(small.total(40))

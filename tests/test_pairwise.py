@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cartesian_topk import (ContractViolation, LeafGenerator, PairSumNode,
-                            concatenation_select, soft_select_pairwise)
+                            concatenation_select, soft_select_pairwise, verify_loh)
 from cartesian_topk.loh import LohGenerator
 from cartesian_topk.pairwise import DEFAULT_EPSILON
 
@@ -48,10 +48,6 @@ class StubGenerator(LohGenerator):
     @property
     def generated_count(self):
         return sum(len(block) for block in self._layers[:self._exposed])
-
-    def value_at(self, pos):
-        flat = [v for block in self._layers for v in block]
-        return flat[pos - 1]
 
     @property
     def schedule(self):
@@ -194,8 +190,8 @@ def test_concat_covers_k_selection():
         k = rng.randint(1, na + nb)
         gen_a, gen_b = LeafGenerator(a, alpha), LeafGenerator(b, alpha)
         concatenation_select(gen_a, gen_b, k)
-        generated = sorted(a[:0] + [gen_a.value_at(i) for i in range(1, gen_a.generated_count + 1)]
-                           + [gen_b.value_at(i) for i in range(1, gen_b.generated_count + 1)])
+        generated = sorted(gen_a.values[:gen_a.generated_count]
+                           + gen_b.values[:gen_b.generated_count])
         want = sorted(a + b)[:k]
         assert generated[:k] == want
 
@@ -243,26 +239,18 @@ def test_node_layers_match_brute_prefixes():
         b = [rng.choice([rng.random(), 0.5]) for _ in range(nb)]
         node = PairSumNode(LeafGenerator(a, alpha), LeafGenerator(b, alpha), alpha,
                            debug_accounting=True)
+        heap = node.soft_heap
         full = sorted(x + y for x in a for y in b)
         while node.has_more_layers():
             node.generate_next_layer()
             # conservation: every proposed pair is accounted for exactly once
-            assert node.proposed_total == (node.processed_total + node.live_in_heap
-                                           + node.parked_count())
+            assert node.proposed_total == heap.insert_count + node.parked_count()
+            assert node.processed_total == node.generated_count + len(node.carryover)
             # the node's one soft heap keeps its corruption bound for life
-            heap = node.soft_heap
             assert heap.corrupted_count <= DEFAULT_EPSILON * heap.insert_count
         assert sorted(node.values) == full
         # the layer blocks really are layer-ordered over the true sums
-        pos = 0
-        prev_max = None
-        for i in range(1, node.layer_count + 1):
-            block = node.layer(i)
-            if prev_max is not None:
-                assert min(block) >= prev_max
-            prev_max = max(block)
-            pos += len(block)
-        assert pos == len(full)
+        assert verify_loh(node)
 
 
 def test_node_cumulative_prefix_is_selection():

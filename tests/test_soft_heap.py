@@ -10,14 +10,14 @@ from cartesian_topk.soft_heap import pop_and_pool
 
 def test_new_heap_is_empty():
     h = SoftHeap(0.25)
-    assert h.size == 0
+    assert len(h) == 0
     assert h.insert_count == 0
 
 
 def test_epsilon_one_over_3m():
     # the m-axis selector uses epsilon = 1/(3m); m=4 gives 1/12
     h = SoftHeap(1.0 / 12.0)
-    assert h.size == 0
+    assert len(h) == 0
 
 
 @pytest.mark.parametrize("eps", [0.5, 0.0, -0.1, 0.75])
@@ -34,7 +34,7 @@ def test_single_insert_extract():
     assert item[1] == "payload"
     assert not item[0] < key
     assert fresh == []
-    assert h.size == 0
+    assert len(h) == 0
 
 
 def test_extract_empty_heap():
@@ -95,7 +95,7 @@ def test_corruption_reported_once():
     for _ in range(5000):
         h.insert(rng.random())
     seen = set()
-    while h.size:
+    while len(h):
         fresh = h.extract_min()[1]
         for e in fresh:
             assert id(e) not in seen
@@ -132,14 +132,14 @@ def _tie_heavy_trace(eps, seed, steps):
     events = []
     payload = 0
     for _ in range(steps):
-        if h.size == 0 or rng.random() < 0.4:
+        if len(h) == 0 or rng.random() < 0.4:
             for _ in range(rng.randint(1, 4)):
                 h.insert(float(rng.randint(0, 3)), payload)
                 payload += 1
         else:
             item, fresh, _ = h.extract_min()
             events.append((item[1], [e[1] for e in fresh]))
-    while h.size:
+    while len(h):
         item, fresh, _ = h.extract_min()
         events.append((item[1], [e[1] for e in fresh]))
     digest = hashlib.sha256(repr(events).encode()).hexdigest()
@@ -172,10 +172,10 @@ def _full_kernel_trace(eps, seed, steps, ties):
         events.append((item[1], key, item[0] < key, [e[1] for e in fresh]))
 
     def counters():
-        events.append((h.size, len(h), h.insert_count, h.peak_size, h.corrupted_count))
+        events.append((len(h), len(h), h.insert_count, h.peak_size, h.corrupted_count))
 
     for _ in range(steps):
-        if h.size == 0 or rng.random() < 0.5:
+        if len(h) == 0 or rng.random() < 0.5:
             for _ in range(rng.randint(1, 4)):
                 h.insert(float(rng.randint(0, 3)) if ties else rng.random(), payload)
                 payload += 1
@@ -183,7 +183,7 @@ def _full_kernel_trace(eps, seed, steps, ties):
         else:
             extract()
             counters()
-    while h.size:
+    while len(h):
         extract()
         counters()
     return hashlib.sha256(repr(events).encode()).hexdigest()
@@ -268,7 +268,7 @@ def test_drain_returns_original_keys():
     h.insert(1.0, "b")
     drained = h.drain()
     assert Counter(e[0] for e in drained) == Counter([1.0, 4.0])
-    assert h.size == 0
+    assert len(h) == 0
     assert h.insert_count == 0
 
 
@@ -301,7 +301,7 @@ def test_corrupted_count_matches_reported():
     for _ in range(4000):
         h.insert(rng.random())
     reported = []
-    while h.size > 1000:
+    while len(h) > 1000:
         reported.extend(h.extract_min()[1])
     assert reported and h.corrupted_count == len(reported)
     h.drain()
