@@ -6,7 +6,9 @@ counter built on it depends on the input alone.  ``select_k`` is one
 such split, and ``split_smallest`` one that keeps both sides;
 ``loh.select_k_loh`` meets the same contract through layer-ordered
 heaps.  ``AscendingPrefix`` sorts an array only as far as it is read,
-one partition per growth.
+one partition per growth; sort-tree's merges offer the same ``n``,
+``values`` and ``reach``, so a merge reads an axis or another merge
+alike.
 
 Values are compared and returned as the array NumPy builds from them,
 so a list mixing floats with ints past 2**53 may be compared after
@@ -59,8 +61,9 @@ class AscendingPrefix:
     """An axis realized in ascending order only as far as it is read: hot
     loops index ``values``, the smallest values of the float64 ``row`` (of
     length ``n``, read again on each growth, not copied) as Python floats,
-    and call ``reach`` on a miss.  Equal values keep no order, so ``-0.0``
-    and ``0.0`` may trade places."""
+    and call ``reach`` on a miss.  Sort-tree's merges offer the same
+    three names.  Equal values keep no order, so ``-0.0`` and ``0.0`` may
+    trade places."""
 
     __slots__ = ("row", "values", "n")
 

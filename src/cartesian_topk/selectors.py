@@ -9,8 +9,9 @@ and tree-of-fringes respectively); ``fast_soft_tree_select`` stacks
 layer-ordered-heap pair-sum generators into a tree so sibling work stays
 near k+1 values per node.
 
-All six convert and check each axis once, to float64, in ``_checked``; the
-selectors then read it as a lazily sorted ``select1d.AscendingPrefix``.
+All six convert and check each axis once, to float64, and k once, to an
+int, in ``_checked``; the selectors then read each axis as a lazily sorted
+``select1d.AscendingPrefix``, and sort-tree's merges read them in place.
 Every algorithm and the oracle walk one balanced tree shape, ``_Tree``
 (left half = first ceil(m/2) axes), built once per call as a post-order
 node list, so equal index tuples give bit-identical floats across
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -58,10 +60,10 @@ class RunStats:
 
     pops_per_level maps tree depth (0 = root) to an average per node.
     Sort-tree averages over every node at that depth, leaves included, the
-    times the node was asked to produce a value, the look-ahead pop
-    included: a merge node realizes a child's next value when it pushes
-    the successor cell, so a node asked for p values asks each child for
-    1 + the deepest (1-based) index it used.  Fast-soft-tree averages the
+    values its parent read from it, and the root's are k: a merge reads a
+    child's next value when it pushes the successor cell, so one that
+    popped p values read from each child 1 + the deepest (1-based) index
+    among them, capped at the child's cells.  Fast-soft-tree averages the
     counted soft-heap extractions of the pair-sum nodes at that depth only,
     since leaves never pop: on the golden tie-heavy case (m=5) depth 2
     holds one pair node and three leaves, and reads 41.0.  The other three
@@ -76,9 +78,9 @@ class RunStats:
       cells whose sum was evaluated); soft-tree counts the values every
       node hands its parent plus the soft-heap inserts of every pairwise
       selection; sort-tensor counts fringe pushes; sort-tree counts the
-      values popped from every node, leaves included; fast-soft-tree
-      counts the values in the generated layers of every node, leaves
-      included (the sum of ``generated_per_level``).
+      values read from every node, leaves included, and k at the root;
+      fast-soft-tree counts the values in the generated layers of every
+      node, leaves included (the sum of ``generated_per_level``).
     - ``corrupted_count``: items a soft heap corrupted, summed over
       every soft heap of the run (soft-tensor's one heap, every pairwise
       selection of soft-tree, each fast-soft-tree node's one soft heap
@@ -104,10 +106,15 @@ def require_finite(values: np.ndarray, name: str = "values") -> None:
         raise ParameterError(f"{name} must contain only finite numbers, got {bad!r}")
 
 
-def _checked(arrays: Sequence[Sequence[float]], k: int) -> list[np.ndarray]:
+def _checked(arrays: Sequence[Sequence[float]], k: int) -> tuple[list[np.ndarray], int]:
     """The input boundary: each axis (a row, for a 2-D ndarray) converted once
-    to a finite, nonempty 1-D float64 array, with 1 <= k <= cells and the sum
-    over axes of max |x| finite, so no sum of one value per axis overflows."""
+    to a finite, nonempty 1-D float64 array, and k to an int (NumPy integers
+    included) with 1 <= k <= cells; the sum over axes of max |x| must be
+    finite, so no sum of one value per axis overflows."""
+    try:
+        k = operator.index(k)
+    except TypeError:
+        raise ContractViolation(f"k={k!r} is not an integer") from None
     if len(arrays) == 0:
         raise ContractViolation("need at least one input array")
     axes = []
@@ -134,16 +141,18 @@ def _checked(arrays: Sequence[Sequence[float]], k: int) -> list[np.ndarray]:
         raise ContractViolation(f"k={k} outside [1, {total}]")
     if not math.isfinite(reach):
         raise ContractViolation("the sum over arrays of max |x| overflows float64")
-    return axes
+    return axes, k
 
 
 def _validated(arrays: Sequence[Sequence[float]], k: int,
-               stats: RunStats | None) -> list[AscendingPrefix]:
+               stats: RunStats | None) -> tuple[list[AscendingPrefix], int]:
     """Checked axes as ascending prefixes (a sorted list is a valid binary heap
-    and layer order); each call starts ``stats`` on empty per-level fields."""
+    and layer order), and the checked k; each call starts ``stats`` on empty
+    per-level fields."""
     if stats is not None:
         stats.pops_per_level, stats.generated_per_level = {}, {}
-    return [AscendingPrefix(axis) for axis in _checked(arrays, k)]
+    axes, k = _checked(arrays, k)
+    return [AscendingPrefix(axis) for axis in axes], k
 
 
 class _Tree:
@@ -220,7 +229,7 @@ def theoretical_exponent(alpha: float) -> float:
 def brute_force_select(arrays: Sequence[Sequence[float]], k: int, *,
                        guard: int = DEFAULT_GUARD) -> SelectionResult:
     """Materialize every sum, sort, keep k; refuses above ``guard`` cells."""
-    axes = _checked(arrays, k)
+    axes, k = _checked(arrays, k)
     total = math.prod(len(a) for a in axes)
     if total > guard:
         raise GuardError(f"{total} tensor cells exceed the materialization guard {guard}")
@@ -284,7 +293,7 @@ def soft_tensor_select(arrays: Sequence[Sequence[float]], k: int, *,
                        debug_checks: bool = False) -> SelectionResult:
     """k smallest sums via one soft heap over the index tensor, keyed by cell
     codes (``_strides``) that are decoded only when their items settle."""
-    axes = _validated(arrays, k, stats)  # ascending, so each axis is already a binary heap
+    axes, k = _validated(arrays, k, stats)  # ascending, so each axis is already a binary heap
     mats = [a.values for a in axes]
     m = len(mats)
     dims = [a.n for a in axes]
@@ -337,7 +346,7 @@ def soft_tree_select(arrays: Sequence[Sequence[float]], k: int, *,
     enough: siblings jointly contribute at most k+1 distinct source
     values to any k-selection on their sum.
     """
-    axes = _validated(arrays, k, stats)
+    axes, k = _validated(arrays, k, stats)
     sizes = [a.n for a in axes]  # cells under each node
     outs = [a.reach(min(k, a.n))[:k] for a in axes]
     for left, right in _Tree(len(axes)).ops:
@@ -351,26 +360,6 @@ def soft_tree_select(arrays: Sequence[Sequence[float]], k: int, *,
 # ---------------------------------------------------------------------------
 # Sorted enumeration over the m-dimensional tensor
 # ---------------------------------------------------------------------------
-
-class _SortLeaf:
-    """Sort-tree leaf over one ascending axis: each pop reads the next value."""
-
-    __slots__ = ("axis", "pop_count")
-
-    def __init__(self, axis: AscendingPrefix):
-        self.axis = axis
-        self.pop_count = 0
-
-    def has_more(self) -> bool:
-        return self.pop_count < self.axis.n
-
-    def pop_next(self) -> float:
-        self.pop_count += 1
-        return self.axis.reach(self.pop_count)[self.pop_count - 1]
-
-    def index_of(self, t: int) -> tuple[int, ...]:
-        return (t,)
-
 
 def sort_tensor_select(arrays: Sequence[Sequence[float]], k: int, *,
                        stats: RunStats | None = None) -> SelectionResult:
@@ -386,7 +375,7 @@ def sort_tensor_select(arrays: Sequence[Sequence[float]], k: int, *,
     its parent's tuple and the advanced axis; the cell's own tuple is built
     only when it is popped.
     """
-    axes = _validated(arrays, k, stats)
+    axes, k = _validated(arrays, k, stats)
     mats = [a.values for a in axes]
     m = len(mats)
     dims = [a.n for a in axes]
@@ -430,8 +419,8 @@ def sort_tensor_select(arrays: Sequence[Sequence[float]], k: int, *,
 # ---------------------------------------------------------------------------
 
 class _FringeGauge:
-    """Entries held by all merge fringes of one sort-tree call, updated once
-    per pop, and the most they held."""
+    """Entries held by all merge fringes of one sort-tree call, updated on
+    each pop that changes them, and the most they held."""
 
     __slots__ = ("current", "peak")
 
@@ -441,82 +430,92 @@ class _FringeGauge:
 
 
 class _SortMerge:
-    """Two-way sorted merge of child streams over their pair sums.
+    """Two-way sorted merge of two children over their pair sums, read like an
+    ascending axis: ``n`` cells, ``values`` the sums popped so far (ascending,
+    extended in place) and ``reach(count)``.  A child is an
+    ``AscendingPrefix`` or another merge, read in place: ``rows`` and
+    ``cols`` count the values read from the left and right child.
 
     Each cell has one proposer: a popped (i, j) pushes (i, j+1), and
     (i+1, 1) too when j == 1.  The proposer orders before the cell in the
     fringe's (sum, i, j) order, so cells pop in that order and none is
-    pushed twice.  Row i+1 is realized when (i, 1) pops and column j+1 when
-    (1, j) pops, so after the first pop each pop realizes at most one new
-    child value (at most one margin advances), which the assertion below
-    enforces.
+    pushed twice.  Row i+1 is read when (i, 1) pops and column j+1 when
+    (1, j) pops, so only the first pop, (1, 1), advances both counts, and
+    only it reads column 2, which the check below enforces.
+    ``history[t - 1]`` is the cell of the t-th value.
     """
 
-    __slots__ = ("left", "right", "a", "b", "fringe", "history", "gauge")
+    __slots__ = ("left", "right", "n", "values", "rows", "cols", "fringe", "history", "gauge")
 
     def __init__(self, left, right, gauge: _FringeGauge):
-        self.left = left
-        self.right = right
-        self.gauge = gauge
-        self.a = [left.pop_next()]
-        self.b = [right.pop_next()]
-        self.fringe: list[tuple[float, int, int]] = [(self.a[0] + self.b[0], 1, 1)]
+        self.left, self.right, self.gauge = left, right, gauge
+        self.n = left.n * right.n
+        self.values: list[float] = []
+        self.rows = self.cols = 1
+        self.fringe = [(left.reach(1)[0] + right.reach(1)[0], 1, 1)]
         self.history: list[tuple[int, int]] = []
         gauge.current += 1
         gauge.peak = max(gauge.peak, gauge.current)
 
-    @property
-    def pop_count(self) -> int:
-        return len(self.history)
-
-    def has_more(self) -> bool:
-        return bool(self.fringe)  # the fringe empties only once every cell has popped
-
-    def pop_next(self) -> float:
-        fringe, a, b = self.fringe, self.a, self.b
-        val, i, j = heapq.heappop(fringe)
-        self.history.append((i, j))
-        pushed = advances = 0
-        if j == 1 and (i < len(a) or self.left.has_more()):
-            if i == len(a):
-                a.append(self.left.pop_next())
-                advances = 1
-            heapq.heappush(fringe, (a[i] + b[0], i + 1, 1))
-            pushed = 1
-        if j < len(b) or self.right.has_more():
-            if j == len(b):
-                b.append(self.right.pop_next())
-                advances += 1
-            heapq.heappush(fringe, (a[i - 1] + b[j], i, j + 1))
-            pushed += 1
-        if advances > 1 and len(self.history) > 1:
-            raise AssertionError("both margins advanced after the first pop")
-        gauge = self.gauge
-        gauge.current += pushed - 1
-        if gauge.current > gauge.peak:
-            gauge.peak = gauge.current
-        return val
-
-    def index_of(self, t: int) -> tuple[int, ...]:
-        i, j = self.history[t - 1]
-        return self.left.index_of(i) + self.right.index_of(j)
+    def reach(self, count: int) -> list[float]:
+        """``values``, extended by pops to min(count, n) sums."""
+        values, fringe, history = self.values, self.fringe, self.history
+        left, right, gauge = self.left, self.right, self.gauge
+        lv, rv = left.values, right.values
+        while len(values) < count and fringe:
+            val, i, j = heapq.heappop(fringe)
+            values.append(val)
+            history.append((i, j))
+            grown = -1  # fringe entries gained by this pop
+            if j == 1 and i < left.n:
+                if i == self.rows:
+                    self.rows = i + 1
+                    if i == len(lv):
+                        left.reach(i + 1)
+                heapq.heappush(fringe, (lv[i] + rv[0], i + 1, 1))
+                grown = 0
+            if j < right.n:
+                if j == self.cols:
+                    if j == 1 and len(history) > 1:
+                        raise AssertionError("column 2 read after the first pop")
+                    self.cols = j + 1
+                    if j == len(rv):
+                        right.reach(j + 1)
+                heapq.heappush(fringe, (lv[i - 1] + rv[j], i, j + 1))
+                grown += 1
+            if grown:
+                gauge.current += grown
+                if gauge.current > gauge.peak:
+                    gauge.peak = gauge.current
+        return values
 
 
 def sort_tree_select(arrays: Sequence[Sequence[float]], k: int,
                      want_indices: bool = False, *,
                      stats: RunStats | None = None) -> SelectionResult:
-    """k smallest sums in ascending order via a balanced tree of merges."""
-    axes = _validated(arrays, k, stats)
-    tree = _Tree(len(axes))
+    """k smallest sums in ascending order via a balanced tree of merges whose
+    leaves are the axes themselves; indices are decoded down the tree from
+    each merge's ``history``."""
+    axes, k = _validated(arrays, k, stats)
+    m = len(axes)
+    tree = _Tree(m)
     gauge = _FringeGauge()
-    nodes: list = [_SortLeaf(a) for a in axes]
+    nodes: list = list(axes)
     for left, right in tree.ops:
         nodes.append(_SortMerge(nodes[left], nodes[right], gauge))
-    root = nodes[-1]
-    values = [root.pop_next() for _ in range(k)]
-    indices = [root.index_of(t) for t in range(1, k + 1)] if want_indices else None
+    values = nodes[-1].reach(k)[:k]  # an axis root (m = 1) reads ahead of k
+    indices = None
+    if want_indices:
+        ranks = [None] * (len(nodes) - 1) + [range(1, k + 1)]
+        for v in range(len(nodes) - 1, m - 1, -1):
+            left, right = tree.ops[v - m]
+            history = nodes[v].history
+            ranks[left], ranks[right] = zip(*[history[t - 1] for t in ranks[v]])
+        indices = list(zip(*ranks[:m]))
     if stats is not None:
-        pops = [n.pop_count for n in nodes]
+        pops = [0] * (len(nodes) - 1) + [k]  # a child's pops are what its parent read
+        for v, (left, right) in enumerate(tree.ops, m):
+            pops[left], pops[right] = nodes[v].rows, nodes[v].cols
         stats.pops_per_level = {d: sum(c) / len(c) for d, c in tree.levels(pops).items()}
         stats.values_generated += sum(pops)
         stats.fringe_peak = max(stats.fringe_peak, gauge.peak)
@@ -538,7 +537,7 @@ def fast_soft_tree_select(arrays: Sequence[Sequence[float]], k: int, alpha: floa
     exact 1-D selection finishes.  The first leaf's ``LayerSchedule``
     refuses an alpha outside (1, 2) with ``ParameterError``.
     """
-    axes = _validated(arrays, k, stats)
+    axes, k = _validated(arrays, k, stats)
     m = len(axes)
     tree = _Tree(m)
     nodes: list[LohGenerator] = [LeafGenerator(a, alpha) for a in axes]

@@ -14,10 +14,10 @@ has only this stream.
 On every case all five selectors must return the oracle's values with
 ``==``, as Python floats; the oracle's indices must be in range, distinct,
 and map back to its values through the input-order axes; sort-tensor and
-sort-tree indices must map back to their values through the ascending
-axes; sort-tree's ``pops_per_level`` must equal criterion 8's NumPy
-reference and, where m is a power of two (every depth full), stay within
-the single-path ceiling (k + 3 * (2^d - 1)) / 2^d at depth d;
+sort-tree indices must be distinct and map back to their values through
+the ascending axes; sort-tree's ``pops_per_level`` must equal criterion
+8's NumPy reference and, where m is a power of two (every depth full),
+stay within the single-path ceiling (k + 3 * (2^d - 1)) / 2^d at depth d;
 fast-soft-tree's ``generated_per_level`` must have a key for every depth
 0..D of the tree and sum to its ``values_generated``, and its
 ``pops_per_level`` must have exactly the depths 0..D-1, which hold its
@@ -151,6 +151,7 @@ def _check_cases(container, cases, seed=0, equal_length=False):
             resummed = [_balanced_sum([ax[i - 1] for ax, i in zip(ascending, idx)])
                         for idx in result.indices]
             assert resummed == result.values, (name, where)
+            assert len(set(result.indices)) == len(result.indices), (name, where)
         pops = stats["sort-tree"].pops_per_level
         assert pops == _reference_pops_per_level(arrays, k), where
         m = len(arrays)

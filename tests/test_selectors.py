@@ -166,6 +166,23 @@ def test_k_out_of_range(name, run):
         run([[1.0, 2.0]], 0)
 
 
+@pytest.mark.parametrize("k", [2.0, 1.5, "2"])
+def test_non_integer_k_refused(k):
+    for name, run in [("brute-force", _oracle)] + SELECTORS:
+        with pytest.raises(ContractViolation, match=r"^k=.* not an integer"):
+            run([[1.0, 2.0], [3.0]], k)
+
+
+def test_numpy_integer_k_acts_as_int():
+    arrays = [[1.0, 2.0], [3.0]]
+    for name, run in [("brute-force", _oracle)] + SELECTORS:
+        assert run(arrays, np.int64(2)) == run(arrays, 2) == [4.0, 5.0], name
+    stats = [RunStats(), RunStats()]
+    for k, s in zip((np.int64(2), 2), stats):
+        sort_tree_select(arrays, k, stats=s)
+    assert repr(stats[0]) == repr(stats[1])  # no NumPy scalar leaks into the counters
+
+
 def test_nan_rejected_at_boundary():
     with pytest.raises(ParameterError):
         soft_tree_select([[1.0, float("nan")]], 1)
@@ -538,6 +555,44 @@ def test_sort_tree_indices_off_by_default():
     assert sort_tree_select([[1.0, 2.0]], 1).indices is None
 
 
+def _sort_merges(arrays):
+    import cartesian_topk.selectors as sel
+    nodes = [sel.AscendingPrefix(a) for a in arrays]
+    gauge = sel._FringeGauge()
+    for left, right in _Tree(len(arrays)).ops:
+        nodes.append(sel._SortMerge(nodes[left], nodes[right], gauge))
+    return nodes
+
+
+@pytest.mark.parametrize("m", [2, 4])
+@pytest.mark.parametrize("kind", ["ties", "distinct"])
+def test_sort_merge_reads_like_an_ascending_prefix(kind, m):
+    # a merge offers an axis's n, values and reach: reach(c) extends one list
+    # in place to the min(c, n) smallest sums of the node's cells, and rows
+    # and cols count the child values its pops read, which are the pops a
+    # child merge makes (pinned by test_golden_sorted_pop_order)
+    import cartesian_topk.selectors as sel
+    rng = random.Random(70 + m)
+    lengths = [rng.randint(2, 5) for _ in range(m)]
+    draw = (lambda: float(rng.randint(0, 3))) if kind == "ties" else rng.random
+    arrays = [[draw() for _ in range(n)] for n in lengths]
+    sums = [sorted(a) for a in arrays]
+    for left, right in _Tree(m).ops:
+        sums.append(sorted(x + y for x in sums[left] for y in sums[right]))
+    for v in range(m, 2 * m - 1):
+        node = _sort_merges(arrays)[v]  # a fresh tree: only this node drives its children
+        values = node.values
+        for c in range(1, node.n + 6):
+            assert node.reach(c) is values
+            assert values == sums[v][:c]
+            assert node.rows == min(node.left.n, 1 + max(i for i, _ in node.history))
+            assert node.cols == min(node.right.n, 1 + max(j for _, j in node.history))
+            for child, read in ((node.left, node.rows), (node.right, node.cols)):
+                if isinstance(child, sel._SortMerge):
+                    assert len(child.values) == read
+        assert len(values) == node.n == len(sums[v])
+
+
 def test_soft_tensor_insertion_accounting():
     # insertions stay within 2m * (pops + corrupted) + 1 and the soft
     # heap's corruption within eps * I at eps = 1/(3m)
@@ -842,7 +897,13 @@ def test_sort_tree_leaves_realize_only_what_they_read(monkeypatch):
     from cartesian_topk.bench import generate_inputs
     axes = []
     validated = sel._validated
-    monkeypatch.setattr(sel, "_validated", lambda *args: axes.extend(validated(*args)) or axes)
+
+    def keep_axes(*args):
+        prefixes, k = validated(*args)
+        axes.extend(prefixes)
+        return prefixes, k
+
+    monkeypatch.setattr(sel, "_validated", keep_axes)
     arrays = generate_inputs("exponential", 64, 1024, seed=1)
     stats = RunStats()
     sort_tree_select(arrays, 512, stats=stats)
@@ -913,12 +974,12 @@ def raises(fn):
 
 
 def merge_advances_both_margins():
-    leaves = [sel._SortLeaf(sel.AscendingPrefix([1.0, 2.0, 3.0, 4.0])) for _ in range(2)]
+    leaves = [sel.AscendingPrefix([1.0, 2.0, 3.0, 4.0]) for _ in range(2)]
     node = sel._SortMerge(leaves[0], leaves[1], sel._FringeGauge())
-    node.pop_next()
-    node.b = node.b[:1]  # (2, 1) next: both (3, 1) and (2, 2) need a new value
+    node.reach(1)
+    node.cols = 1  # (2, 1) next: both (3, 1) and (2, 2) need a new value
     node.fringe = [(-1.0, 2, 1)]
-    node.pop_next()
+    node.reach(2)
 
 
 def tensor_proposes_twice():
