@@ -293,9 +293,6 @@ class LohGenerator(LayerOrderedHeap):
     def total_size(self) -> int:
         return self.schedule.n
 
-    def min_value(self) -> float:
-        return self.values[0]
-
 
 class LeafGenerator(LohGenerator):
     """Generator over a fixed axis that slices its ascending prefix into layers.

@@ -11,9 +11,9 @@ alpha^2 * k values in total.
 
 ``PairSumNode`` stacks those two ideas into a layer generator for A+B:
 each output layer is produced by a soft-heap selection whose proposals
-walk the children's layer structure, parking not-yet-realizable index
-pairs in purgatory lists until the blocking side has generated enough
-layers.
+walk the children's layer structure, parking each not-yet-realizable
+index pair on the one side that blocks it until that side has
+generated enough layers.
 """
 
 from __future__ import annotations
@@ -132,8 +132,10 @@ class PairSumNode(LohGenerator):
 
     Every proposed index pair lives in exactly one place until consumed:
     the soft heap (both coordinates inside the generated child prefixes,
-    value known), or one of three purgatory lists (coordinate beyond the
-    generated prefix of A, of B, or both).  Pairs pointing past a child's
+    value known), or the purgatory list of the one side whose generated
+    prefix it points past: a proposal keeps B's coordinate 1, which every
+    child realizes in its constructor, or a settled pair's coordinate of
+    A, so no pair is blocked on both sides.  Pairs pointing past a child's
     total size are never created at all.
 
     The node keeps one soft heap for its lifetime.  Each output layer is
@@ -151,8 +153,7 @@ class PairSumNode(LohGenerator):
     """
 
     __slots__ = ("left", "right", "soft_heap", "purgatory_a", "purgatory_b",
-                 "purgatory_ab", "carryover", "_left_min", "_right_min",
-                 "_seen_a", "_seen_b", "pops_total", "proposed_total",
+                 "carryover", "_seen_a", "_seen_b", "pops_total", "proposed_total",
                  "processed_total", "_debug_cells")
 
     def __init__(self, left: LohGenerator, right: LohGenerator, alpha: float,
@@ -163,10 +164,7 @@ class PairSumNode(LohGenerator):
         self.soft_heap = SoftHeap(DEFAULT_EPSILON)
         self.purgatory_a: list[tuple[int, int]] = []
         self.purgatory_b: list[tuple[int, int]] = []
-        self.purgatory_ab: list[tuple[int, int]] = []
         self.carryover: list = []
-        self._left_min = left.min_value()
-        self._right_min = right.min_value()
         self._seen_a = left.generated_count
         self._seen_b = right.generated_count
         # Lifetime totals; soft_heap counts its own corruption and peak size.
@@ -186,7 +184,7 @@ class PairSumNode(LohGenerator):
         # Child prefixes must cover a (k'+1)-selection on A|B, compared on
         # a common zero point, for the k'-selection on A+B to be realizable.
         concatenation_select(self.left, self.right, target_cumulative + 1,
-                             offset_a=self._left_min, offset_b=self._right_min)
+                             offset_a=self.left.values[0], offset_b=self.right.values[0])
         self._flush_purgatories()
 
         pool = self.carryover
@@ -221,22 +219,16 @@ class PairSumNode(LohGenerator):
         self._admit(ia, ib)
 
     def _admit(self, ia: int, ib: int) -> None:
-        # Routes a pair to the soft heap or a purgatory list.
-        a_ready = ia <= self.left.generated_count
-        b_ready = ib <= self.right.generated_count
-        if a_ready and b_ready:
-            self.soft_heap.insert(self.left.values[ia - 1] + self.right.values[ib - 1], (ia, ib))
-        elif not a_ready and not b_ready:
-            self.purgatory_ab.append((ia, ib))
-        elif not a_ready:
+        # Routes a pair to the soft heap or the purgatory of the side blocking it.
+        if ia > self.left.generated_count:
             self.purgatory_a.append((ia, ib))
-        else:
+        elif ib > self.right.generated_count:
             self.purgatory_b.append((ia, ib))
+        else:
+            self.soft_heap.insert(self.left.values[ia - 1] + self.right.values[ib - 1], (ia, ib))
 
     def _flush_purgatories(self) -> None:
-        # A-parked pairs are reconsidered only when A has grown (likewise
-        # B); both-parked pairs when either side grew, in which case
-        # _admit re-routes pairs still blocked on the other side.
+        # A-parked pairs are reconsidered only when A has grown, likewise B.
         a_gained = self.left.generated_count > self._seen_a
         b_gained = self.right.generated_count > self._seen_b
         self._seen_a = self.left.generated_count
@@ -248,11 +240,8 @@ class PairSumNode(LohGenerator):
         if b_gained and self.purgatory_b:
             retry.extend(self.purgatory_b)
             self.purgatory_b = []
-        if (a_gained or b_gained) and self.purgatory_ab:
-            retry.extend(self.purgatory_ab)
-            self.purgatory_ab = []
         for ia, ib in retry:
             self._admit(ia, ib)
 
     def parked_count(self) -> int:
-        return len(self.purgatory_a) + len(self.purgatory_b) + len(self.purgatory_ab)
+        return len(self.purgatory_a) + len(self.purgatory_b)

@@ -109,9 +109,11 @@ def require_finite(values: np.ndarray, name: str = "values") -> None:
 def _checked(arrays: Sequence[Sequence[float]], k: int) -> tuple[list[np.ndarray], int]:
     """The input boundary: each axis (a row, for a 2-D ndarray) converted once
     to a finite, nonempty 1-D float64 array, and k to an int (NumPy integers
-    included) with 1 <= k <= cells; the sum over axes of max |x| must be
-    finite, so no sum of one value per axis overflows."""
+    included, bools refused) with 1 <= k <= cells; the sum over axes of max |x|
+    must be finite, so no sum of one value per axis overflows."""
     try:
+        if isinstance(k, bool):  # refused like np.bool_, which has no __index__
+            raise TypeError
         k = operator.index(k)
     except TypeError:
         raise ContractViolation(f"k={k!r} is not an integer") from None

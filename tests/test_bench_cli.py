@@ -121,6 +121,10 @@ def test_run_all_skips_infeasible_oracle_row():
     report = run(cfg)
     assert len(report.rows) == 5
     assert "brute-force" not in {row["algorithm"] for row in report.rows}
+    # asked to validate, every row says it could not be checked, and none failed
+    report = run(BenchConfig(algorithm="all", m=16, n=8, k=6, validate=True))
+    assert [row["validated"] for row in report.rows] == ["skipped"] * 5
+    assert report.violations == []
 
 
 def test_run_k_too_large():
@@ -256,6 +260,8 @@ def test_cli_guard_env(tmp_path, monkeypatch, capsys):
     code = main(["--algorithm", "brute-force", "--m", "4", "--n", "4", "--k", "2"])
     assert code == 1  # guard refusal surfaces as usage error
     monkeypatch.setenv("CARTESIAN_TOPK_GUARD", "not-a-number")
+    assert main(["--algorithm", "sort-tree", "--m", "2", "--n", "2", "--k", "2"]) == 1
+    monkeypatch.setenv("CARTESIAN_TOPK_GUARD", "0")  # a guard must be positive
     assert main(["--algorithm", "sort-tree", "--m", "2", "--n", "2", "--k", "2"]) == 1
 
 

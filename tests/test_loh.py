@@ -41,6 +41,8 @@ def test_schedule_alpha_validation():
     for alpha in (1.0, 2.0, 0.5, 2.5):
         with pytest.raises(ParameterError):
             LayerSchedule(alpha, 10)
+    with pytest.raises(ContractViolation, match="n must be positive"):
+        LayerSchedule(1.5, 0)
 
 
 def test_schedule_growth_bounds():
@@ -68,6 +70,9 @@ def test_layer_of_roundtrip():
         for off in range(1, sched.size(i) + 1):
             assert sched.layer_of(pos) == (i, off)
             pos += 1
+    for pos in (0, 501):
+        with pytest.raises(ContractViolation):
+            sched.layer_of(pos)
 
 
 def test_lohify_example():
@@ -182,7 +187,9 @@ def test_children_of_range_checks():
 @pytest.mark.parametrize("alpha", [1.05, 1.1, 1.5, 1.9])
 def test_child_positions_match_children_of(alpha):
     # flat-position children equal the layer offset map of children_of,
-    # truncated to n, on fresh schedules that extend their totals lazily
+    # truncated to n, on fresh schedules that extend their totals lazily:
+    # asked in order, each call extends one layer ahead; asked a far
+    # position first, layer_of and child_positions jump ahead to cover it
     for n in [*range(1, 121), 10**30]:
         sched, ref = LayerSchedule(alpha, n), LayerSchedule(alpha, n)
         for pos in range(1, min(n, 3000) + 1):
@@ -192,6 +199,11 @@ def test_child_positions_match_children_of(alpha):
                 base = ref.total(layer)
                 want = tuple(base + c for c in children_of(ref, layer, offset) if base + c <= n)
             assert sched.child_positions(pos) == want, (n, pos)
+        for pos in {min(n, 3000), (min(n, 3000) + 1) // 2}:
+            assert LayerSchedule(alpha, n).layer_of(pos) == ref.layer_of(pos), (n, pos)
+            assert LayerSchedule(alpha, n).child_positions(pos) == sched.child_positions(pos), (n, pos)
+    if alpha == 1.1:  # position 5000 asked first, as walked in order it gives 5540
+        assert LayerSchedule(alpha, 10**6).child_positions(5000) == (5540,)
     sched = LayerSchedule(alpha, 50)
     for pos in (0, 51):
         with pytest.raises(ContractViolation):
@@ -229,7 +241,7 @@ def test_leaf_generator_streams_layers(make):
     gen, vals = make()
     assert gen.layer_count == 1
     assert gen.generated_count == 1
-    assert gen.min_value() == min(vals)
+    assert gen.values[0] == min(vals)
     running = []
     while True:
         running.extend(gen.layer(gen.layer_count))

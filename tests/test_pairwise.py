@@ -289,3 +289,50 @@ def test_node_purgatories_actually_park():
         node.generate_next_layer()
         parked_seen = max(parked_seen, node.parked_count())
     assert parked_seen > 0
+
+
+def _one_side_inputs(kind, na, nb):
+    rng = random.Random(38)
+    if kind == "distinct":
+        return [rng.random() for _ in range(na)], [rng.random() for _ in range(nb)]
+    if kind == "ties":
+        return ([float(rng.randint(0, 3)) for _ in range(na)],
+                [float(rng.randint(0, 3)) for _ in range(nb)])
+    return [i / 100.0 for i in range(na)], [100.0 + 10.0 * j for j in range(nb)]
+
+
+@pytest.mark.parametrize("alpha", [1.05, 1.1, 1.5])
+@pytest.mark.parametrize("kind", ["distinct", "ties", "asymmetric"])
+@pytest.mark.parametrize("children", ["leaves", "pair-sum-nodes"])
+def test_node_parks_each_pair_on_one_side(monkeypatch, children, kind, alpha):
+    # a proposal keeps B's coordinate 1 or a settled pair's coordinate of A,
+    # and generated prefixes never shrink, so no pair, proposed or retried,
+    # is ever blocked on both sides, and an A-parked pair waits on A alone
+    both_blocked = []
+    original = PairSumNode._admit
+
+    def admit(self, ia, ib):
+        if ia > self.left.generated_count and ib > self.right.generated_count:
+            both_blocked.append((ia, ib))
+        return original(self, ia, ib)
+
+    monkeypatch.setattr(PairSumNode, "_admit", admit)
+    if children == "leaves":
+        a, b = _one_side_inputs(kind, 40, 30)
+        left, right = LeafGenerator(a, alpha), LeafGenerator(b, alpha)
+    else:
+        x, y = _one_side_inputs(kind, 20, 16)
+        left = PairSumNode(LeafGenerator(x[:10], alpha), LeafGenerator(x[10:], alpha), alpha)
+        right = PairSumNode(LeafGenerator(y[:8], alpha), LeafGenerator(y[8:], alpha), alpha)
+        a, b = brute_pair(x[:10], x[10:], 100), brute_pair(y[:8], y[8:], 64)
+    node = PairSumNode(left, right, alpha)
+    nodes = [g for g in (left, right, node) if isinstance(g, PairSumNode)]
+    parked = 0
+    while node.has_more_layers():
+        node.generate_next_layer()
+        assert both_blocked == []
+        for g in nodes:
+            parked += g.parked_count()
+            assert all(ib <= g.right.generated_count for _, ib in g.purgatory_a)
+    assert parked > 0  # the purgatories were in use
+    assert sorted(node.values) == brute_pair(a, b, len(a) * len(b))

@@ -25,6 +25,9 @@ def test_bad_k_rejected():
         select_k([1, 2, 3], 0)
     with pytest.raises(ContractViolation):
         select_k([1, 2, 3], 4)
+    for k in (-1, 4):  # split_smallest allows 0 and n, nothing beyond
+        with pytest.raises(ContractViolation, match="outside"):
+            split_smallest([1, 2, 3], k)
 
 
 def test_matches_sort_oracle():

@@ -166,7 +166,7 @@ def test_k_out_of_range(name, run):
         run([[1.0, 2.0]], 0)
 
 
-@pytest.mark.parametrize("k", [2.0, 1.5, "2"])
+@pytest.mark.parametrize("k", [2.0, 1.5, "2", True, False, np.True_])
 def test_non_integer_k_refused(k):
     for name, run in [("brute-force", _oracle)] + SELECTORS:
         with pytest.raises(ContractViolation, match=r"^k=.* not an integer"):
@@ -242,6 +242,7 @@ _UNREPRESENTABLE = [
     ("datetime64-equal", [np.array([0.0, 1.0]), np.array(["2020-01-01", "2020-01-02"], dtype="M8[D]")],
      r"\barray 1\b"),
     ("timedelta64-2-d-ndarray", np.array([[1, 2], [3, 4]], dtype="m8[s]"), r"\barray 0\b"),
+    ("no-axes", [], "^need at least one input array"),
 ]
 
 
@@ -251,7 +252,7 @@ _UNREPRESENTABLE = [
 def test_boundary_rejects_unrepresentable_inputs(arrays, match):
     # complex, text, datetime and timedelta axes would convert to float64 (a
     # complex one with only a ComplexWarning, a date as days since the epoch),
-    # so the boundary refuses them before converting
+    # so the boundary refuses them before converting; no axes at all is refused too
     for name, run in [("brute-force", _oracle)] + SELECTORS:
         with pytest.raises(ContractViolation, match=match):
             run(arrays, 1)
