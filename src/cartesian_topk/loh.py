@@ -6,14 +6,14 @@ arbitrary and consecutive layer sizes approach the ratio alpha.
 This module provides the layer-size schedule, the parent/child offset
 arithmetic between adjacent layers, ``LayerOrderedHeap`` with its
 structural verifier, linear-time construction by repeated partitioning
-(``lohify``), k-selection through it (``select_k_loh``), and
-``LohGenerator``: a layer-ordered heap still being filled, the one base
-of every generator that streams layers on demand.  The base keeps the
-generated values, layer count and running maximum and answers every
-query about them, while ``LeafGenerator`` and ``pairwise.PairSumNode``
-only say how the next layer is made.  A leaf slices each layer off an
-``AscendingPrefix``, its axis realized in ascending order only as far as
-it is read.
+(``lohify`` over ``split_at``), k-selection through it
+(``select_k_loh``), and ``LohGenerator``: a layer-ordered heap still
+being filled, the one base of every generator that streams layers on
+demand.  The base takes the whole layer step and answers every query
+about the generated values, while ``LeafGenerator`` and
+``pairwise.PairSumNode`` only make each layer's values
+(``_next_layer``).  A leaf slices each layer off an ``AscendingPrefix``,
+its axis realized in ascending order only as far as it is read.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ContractViolation, ParameterError
-from .select1d import AscendingPrefix, split_at
+from .select1d import AscendingPrefix
 
 
 class LayerSchedule:
@@ -181,6 +181,16 @@ def lohify(values: Sequence[float], alpha: float) -> LayerOrderedHeap:
     return LayerOrderedHeap(vals, schedule)
 
 
+def split_at(a: list, lo: int, hi: int, rank: int) -> None:
+    """Rearrange ``a[lo:hi]`` in place so a[lo:rank] <= min(a[rank:hi]).
+
+    ``rank`` is an absolute position with lo <= rank <= hi.  Writes back
+    ``np.partition`` of the segment (deterministic, worst case linear).
+    """
+    if lo < rank < hi:
+        a[lo:hi] = np.partition(a[lo:hi], rank - lo).tolist()
+
+
 def _multi_split(a: list, lo: int, hi: int, bounds: list[int], blo: int, bhi: int) -> None:
     if blo >= bhi:
         return
@@ -253,32 +263,36 @@ class LohGenerator(LayerOrderedHeap):
     ``values`` holds exactly the generated layers flat, smallest layer
     first, and ``schedule`` alone fixes every layer's size, so ``layer(i)``
     refuses a layer not generated yet.  A subclass supplies only how a
-    layer is made: its constructor and ``generate_next_layer`` append the
-    next layer's ``schedule.size(layer_count + 1)`` values to ``values``
-    and call ``_close_layer``.  The constructor makes the first layer, and
-    ``generate_next_layer`` does nothing once ``has_more_layers()`` is
-    false.  Layers are immutable once generated, so ``max_generated``
-    never decreases.
+    layer's values are made: ``_next_layer(end)`` returns the values at
+    flat positions ``generated_count`` to ``end``, none below the values
+    already generated.  ``generate_next_layer`` takes the whole step,
+    appending that layer and recording its count and maximum, and does
+    nothing once ``has_more_layers()`` is false; a subclass constructor
+    calls it once for the first layer.  Layers are immutable once
+    generated, and under layer order the newest layer's maximum is the
+    running maximum, so ``max_generated`` never decreases.
     """
 
     __slots__ = ("layer_count", "generated_count", "_max")
 
-    def __init__(self, values: list, schedule: LayerSchedule):
-        super().__init__(values, schedule)
+    def __init__(self, schedule: LayerSchedule):
+        super().__init__([], schedule)
         self.layer_count = 0
         self.generated_count = 0
         self._max = -math.inf  # maximum of the generated values
 
     def generate_next_layer(self) -> None:
-        raise NotImplementedError
-
-    def _close_layer(self) -> None:
-        """Record the next layer, whose values the subclass has just placed."""
-        top = max(self.values[self.generated_count:])
+        if self.generated_count == self.schedule.n:
+            return
+        end = self.schedule.total(self.layer_count + 1)
+        layer = self._next_layer(end)
+        self.values.extend(layer)
         self.layer_count += 1
-        self.generated_count = self.schedule.total(self.layer_count)
-        if top >= self._max:
-            self._max = top
+        self.generated_count = end
+        self._max = max(layer)
+
+    def _next_layer(self, end: int) -> list:
+        raise NotImplementedError
 
     def has_more_layers(self) -> bool:
         return self.generated_count < self.schedule.n
@@ -311,12 +325,9 @@ class LeafGenerator(LohGenerator):
             np.array(values, dtype=np.float64))
         if not axis.n:
             raise ContractViolation("cannot generate layers from an empty sequence")
-        super().__init__([], LayerSchedule(alpha, axis.n))
+        super().__init__(LayerSchedule(alpha, axis.n))
         self._axis = axis
         self.generate_next_layer()
 
-    def generate_next_layer(self) -> None:
-        if self.has_more_layers():
-            end = self.schedule.total(self.layer_count + 1)
-            self.values.extend(self._axis.reach(end)[self.generated_count:end])
-            self._close_layer()
+    def _next_layer(self, end: int) -> list:
+        return self._axis.reach(end)[self.generated_count:end]

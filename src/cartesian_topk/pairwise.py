@@ -138,11 +138,11 @@ class PairSumNode(LohGenerator):
     A, so no pair is blocked on both sides.  Pairs pointing past a child's
     total size are never created at all.
 
-    The node keeps one soft heap for its lifetime.  Each output layer is
-    produced by: covering the child prefixes via concatenation selection,
-    reviving purgatory pairs whose blocking side has grown, one counted
-    extraction per output slot (``pop_and_pool``), and an exact 1-D
-    selection over the values settled plus those carried over.
+    The node keeps one soft heap for its lifetime.  ``_next_layer`` makes
+    each output layer by: covering the child prefixes via concatenation
+    selection, reviving purgatory pairs whose blocking side has grown, one
+    counted extraction per output slot (``pop_and_pool``), and an exact
+    1-D selection over the values settled plus those carried over.
 
     Settled corrupted items stay in the heap, yet each layer is exact.
     Take any cell x not yet pooled and not behind a parked pair (the
@@ -158,7 +158,7 @@ class PairSumNode(LohGenerator):
 
     def __init__(self, left: LohGenerator, right: LohGenerator, alpha: float,
                  debug_accounting: bool = False):
-        super().__init__([], LayerSchedule(alpha, left.total_size * right.total_size))
+        super().__init__(LayerSchedule(alpha, left.total_size * right.total_size))
         self.left = left
         self.right = right
         self.soft_heap = SoftHeap(DEFAULT_EPSILON)
@@ -175,25 +175,16 @@ class PairSumNode(LohGenerator):
         self._propose(1, 1)
         self.generate_next_layer()
 
-    def generate_next_layer(self) -> None:
-        if not self.has_more_layers():
-            return
-        target_cumulative = self.schedule.total(self.layer_count + 1)
-        layer_size = target_cumulative - self.generated_count
-
+    def _next_layer(self, end: int) -> list:
         # Child prefixes must cover a (k'+1)-selection on A|B, compared on
         # a common zero point, for the k'-selection on A+B to be realizable.
-        concatenation_select(self.left, self.right, target_cumulative + 1,
+        concatenation_select(self.left, self.right, end + 1,
                              offset_a=self.left.values[0], offset_b=self.right.values[0])
         self._flush_purgatories()
-
-        pool = self.carryover
-        self.carryover = []
-        self.pops_total += pop_and_pool(self.soft_heap, layer_size, pool, self._settle)
-
-        selected, self.carryover = split_smallest(pool, layer_size)
-        self.values.extend(selected)
-        self._close_layer()
+        layer_size = end - self.generated_count
+        self.pops_total += pop_and_pool(self.soft_heap, layer_size, self.carryover, self._settle)
+        layer, self.carryover = split_smallest(self.carryover, layer_size)
+        return layer
 
     # -- internals -------------------------------------------------------------
 

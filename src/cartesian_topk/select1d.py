@@ -1,9 +1,9 @@
 """One-dimensional k-selection primitives.
 
-``split_at`` partitions with ``np.partition``, NumPy's introselect:
+Each cut is one ``np.partition`` at ``k``, NumPy's introselect:
 deterministic and linear in the worst case, so every result and every
-counter built on it depends on the input alone.  ``select_k`` is one
-such split, and ``split_smallest`` one that keeps both sides;
+counter built on it depends on the input alone.  ``select_k`` keeps the
+k smallest, and ``split_smallest`` keeps both sides;
 ``loh.select_k_loh`` meets the same contract through layer-ordered
 heaps.  ``AscendingPrefix`` sorts an array only as far as it is read,
 one partition per growth; sort-tree's merges offer the same ``n``,
@@ -26,35 +26,24 @@ import numpy as np
 from .errors import ContractViolation
 
 
-def split_at(a: list, lo: int, hi: int, rank: int) -> None:
-    """Rearrange ``a[lo:hi]`` in place so a[lo:rank] <= min(a[rank:hi]).
-
-    ``rank`` is an absolute position with lo <= rank <= hi.  Writes back
-    ``np.partition`` of the segment (deterministic, worst case linear).
-    """
-    if lo < rank < hi:
-        a[lo:hi] = np.partition(a[lo:hi], rank - lo).tolist()
-
-
 def split_smallest(values: Sequence[float], k: int) -> tuple[list, list]:
-    """Split a sequence into (k smallest, the rest) as fresh lists."""
-    vals = list(values)
-    n = len(vals)
+    """Split a sequence into (k smallest, the rest) as fresh lists; for
+    0 < k < n one ``np.partition`` at k, else the input order is kept."""
+    n = len(values)
     if k < 0 or k > n:
         raise ContractViolation(f"split point {k} outside [0, {n}]")
-    split_at(vals, 0, n, k)
+    vals = np.partition(values, k).tolist() if 0 < k < n else list(values)
     return vals[:k], vals[k:]
 
 
 def select_k(values: Sequence[float], k: int) -> list:
     """Return the k smallest values (by multiplicity, order unspecified);
-    one deterministic ``split_at``, so equal inputs give equal outputs."""
-    vals = list(values)
-    n = len(vals)
+    one deterministic ``np.partition`` at k unless k == n, so equal
+    inputs give equal outputs."""
+    n = len(values)
     if k < 1 or k > n:
         raise ContractViolation(f"k={k} outside [1, {n}]")
-    split_at(vals, 0, n, k)
-    return vals[:k]
+    return np.partition(values, k).tolist()[:k] if k < n else list(values)
 
 
 class AscendingPrefix:

@@ -349,11 +349,10 @@ def soft_tree_select(arrays: Sequence[Sequence[float]], k: int, *,
     values to any k-selection on their sum.
     """
     axes, k = _validated(arrays, k, stats)
-    sizes = [a.n for a in axes]  # cells under each node
-    outs = [a.reach(min(k, a.n))[:k] for a in axes]
+    outs = [a.reach(min(k, a.n))[:k] for a in axes]  # min(k, cells) values per node
     for left, right in _Tree(len(axes)).ops:
-        sizes.append(sizes[left] * sizes[right])
-        outs.append(soft_select_pairwise(outs[left], outs[right], min(k, sizes[-1]), stats=stats))
+        want = min(k, len(outs[left]) * len(outs[right]))
+        outs.append(soft_select_pairwise(outs[left], outs[right], want, stats=stats))
     if stats is not None:
         stats.values_generated += sum(len(out) for out in outs)
     return SelectionResult(values=outs[-1], sorted=False)

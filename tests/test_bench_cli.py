@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import cartesian_topk
-from cartesian_topk import InputParseError
+from cartesian_topk import ContractViolation, InputParseError, ParameterError
 from cartesian_topk.bench import (BenchConfig, csv_header, generate_inputs,
                                   ingest_file, render_csv, run)
 from cartesian_topk.cli import main
@@ -128,7 +128,6 @@ def test_run_all_skips_infeasible_oracle_row():
 
 
 def test_run_k_too_large():
-    from cartesian_topk import ParameterError
     with pytest.raises(ParameterError):
         run(BenchConfig(algorithm="sort-tree", m=2, n=2, k=5))
 
@@ -199,6 +198,12 @@ def test_cli_usage_errors(capsys):
     assert main(["--algorithm", "fast-soft-tree", "--alpha", "2.5"]) == 1
     assert main(["--distribution", "file"]) == 1  # missing --input-file
     assert main(["--m", "2", "--n", "2", "--k", "50"]) == 1  # k > n^m
+    for flag in ("--m", "--n", "--replicates"):
+        assert main([flag, "0"]) == 1
+    # argparse refuses these first on the command line; check() refuses them too
+    for cfg in (BenchConfig(algorithm="nonsense"), BenchConfig(distribution="normal")):
+        with pytest.raises(ParameterError):
+            cfg.check()
 
 
 def test_cli_oversized_generation_is_usage_error(monkeypatch, capsys):
@@ -220,6 +225,10 @@ def test_cli_oversized_generation_is_usage_error(monkeypatch, capsys):
     assert main(["--algorithm", "sort-tree", "--m", "2", "--n", "4", "--k", "1"]) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("usage error:") and "cannot allocate" in err[0]
+    with pytest.raises(ContractViolation):
+        generate_inputs("uniform", 0, 4, 1)
+    with pytest.raises(ParameterError):
+        generate_inputs("file", 2, 2, 1)  # only uniform and exponential are generated
 
 
 def test_cli_parse_error(tmp_path, capsys):

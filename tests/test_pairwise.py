@@ -172,6 +172,8 @@ def test_concat_identical_generators_immediate():
     gen_a = StubGenerator([[5], [6, 7]])
     gen_b = StubGenerator([[5], [6, 7]])
     assert concatenation_select(gen_a, gen_b, 1) == (1, 1)
+    with pytest.raises(ContractViolation):
+        concatenation_select(gen_a, gen_b, 0)
 
 
 def test_concat_exhaustion_returns_everything():

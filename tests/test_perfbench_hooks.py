@@ -60,3 +60,7 @@ def test_tracer_wraps_every_name(monkeypatch):
             assert trace.counts["soft_heap.corrupted"] == stats.corrupted_count, name
         if name == "fast_soft_tree":
             assert 0 < metrics["loh.leaf_use_ratio"] <= 1
+            # generate_next_layer is inherited from LohGenerator, yet the
+            # wrapper on PairSumNode sees only the tree's 3 pair-sum nodes
+            assert len(trace.pair_nodes) == 3, trace.pair_nodes
+            assert all(isinstance(node, cartesian_topk.PairSumNode) for node in trace.pair_nodes)

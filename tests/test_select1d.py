@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from cartesian_topk import ContractViolation, ParameterError, select_k, select_k_loh
@@ -71,6 +72,25 @@ def test_split_smallest_partitions_exactly():
     low, high = split_smallest(vals, 2)
     assert sorted(low) == [1.0, 1.0]
     assert Counter(low + high) == Counter(vals)
+    # The cut's order fixes which value sits at each flat position of a
+    # pair-sum node's layer, hence every proposal and golden counter: it is
+    # np.partition at k, or the input order when k is 0 or n.  Floats are
+    # compared by hex, so -0.0 and 0.0 count as different.
+    rng = random.Random(11)
+    ties = [float(rng.randint(0, 3)) for _ in range(300)]  # long enough for introselect
+    zeros = [0.0, -0.0, 1.0, -0.0, -1.0, 0.0, -0.0, 0.0, -1.0]
+    for vals in (ties, zeros, [rng.choice((-0.0, 0.0, 2.0)) for _ in range(300)]):
+        n = len(vals)
+        for k in range(1, n):
+            p = [x.hex() for x in np.partition(vals, k).tolist()]
+            low, high = split_smallest(vals, k)
+            assert ([x.hex() for x in low], [x.hex() for x in high]) == (p[:k], p[k:])
+            assert [x.hex() for x in select_k(vals, k)] == p[:k]
+        same = [x.hex() for x in vals]
+        for low, high in (split_smallest(vals, 0), split_smallest(vals, n)):
+            assert [x.hex() for x in low + high] == same
+            assert low is not vals and high is not vals
+        assert [x.hex() for x in select_k(vals, n)] == same
 
 
 def test_ascending_prefix_grows_on_demand():
