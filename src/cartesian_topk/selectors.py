@@ -18,7 +18,10 @@ node list, so equal index tuples give bit-identical floats across
 algorithms and the oracle, and outputs can be compared as exact
 multisets.  The tree selectors stack their nodes in that list's order;
 in the tensor selectors a child cell differs from its parent in one
-axis, so its sum re-adds only that leaf's path, about log2(m) additions.
+axis, so its sum re-adds only that leaf's path, at most ceil(log2 m)
+additions.  Sort-tensor also carries each popped cell's node sums to its
+children, so a pop re-sums that path alone (ceil(log2 m) additions, not
+m-1), and a popped cell's sums stay alive while a child is in the fringe.
 """
 
 from __future__ import annotations
@@ -162,10 +165,11 @@ class _Tree:
     (left child = first ceil(m/2) axes).  Leaf t is node t; internal node
     m + i joins the two nodes ``ops[i]``, in post-order, so children come
     before their parent and the root is last.  ``depth[v]`` is node v's
-    distance from the root, and ``paths[t]`` lists the siblings on leaf t's
-    path, leaf first."""
+    distance from the root, ``paths[t]`` lists the siblings on leaf t's path,
+    leaf first, and ``resums[t]`` the ``(node, left, right)`` joins of leaf
+    t's ancestors, bottom-up."""
 
-    __slots__ = ("ops", "depth", "paths")
+    __slots__ = ("ops", "depth", "paths", "resums")
 
     def __init__(self, m: int):
         self.ops: list[tuple[int, int]] = []
@@ -180,11 +184,14 @@ class _Tree:
         build(0, m)
         self.depth = [0] * (m + len(self.ops))
         up: list[list[int]] = [[] for _ in self.depth]  # siblings from v to the root
+        joins: list[list[tuple[int, int, int]]] = [[] for _ in self.depth]  # v's ancestors
         for v in range(len(self.depth) - 1, m - 1, -1):
             left, right = self.ops[v - m]
             self.depth[left] = self.depth[right] = self.depth[v] + 1
             up[left], up[right] = [right] + up[v], [left] + up[v]
+            joins[left] = joins[right] = [(v, left, right)] + joins[v]
         self.paths = up[:m]
+        self.resums = joins[:m]
 
     def levels(self, counts: Sequence[int], first: int = 0) -> dict[int, list[int]]:
         """``counts[j]``, the count of node ``first + j``, grouped by depth."""
@@ -206,6 +213,16 @@ class _Tree:
         for s in self.paths[t]:
             value += sums[s]
         return value
+
+    def advanced(self, sums: list[float], t: int, value: float) -> list[float]:
+        """A copy of ``partials`` with leaf t set to ``value`` and only its
+        ancestors re-summed, bottom-up: the operands and grouping of a full
+        re-sum, in ceil(log2 m) additions at most."""
+        sums = sums.copy()
+        sums[t] = value
+        for v, left, right in self.resums[t]:
+            sums[v] = sums[left] + sums[right]
+        return sums
 
 
 def _strides(dims: Sequence[int]) -> list[int]:
@@ -373,8 +390,12 @@ def sort_tensor_select(arrays: Sequence[Sequence[float]], k: int, *,
     each axis.  The fringe keys a cell by its code (``_strides``), so equal
     sums pop in index-tuple order, a proposer pops before the cell it
     proposes, and a successor's code is one addition.  A fringe entry keeps
-    its parent's tuple and the advanced axis; the cell's own tuple is built
-    only when it is popped.
+    its parent's tuple, the advanced axis and the parent's node sums, one
+    list shared by all the siblings it pushed; a pop builds the cell's own
+    tuple and copies those sums with only the advanced leaf's path re-summed
+    (``_Tree.advanced``: at most ceil(log2 m) additions instead of the m-1
+    of ``partials``).  So a popped cell's list stays alive while any of its
+    children is in the fringe.
     """
     axes, k = _validated(arrays, k, stats)
     mats = [a.values for a in axes]
@@ -383,20 +404,22 @@ def sort_tensor_select(arrays: Sequence[Sequence[float]], k: int, *,
     tree = _Tree(m)
     strides = _strides(dims)
 
-    # (sum, code, parent tuple, advanced axis); the root's parent is a step
-    # before it on axis 0
-    fringe: list[tuple] = [(tree.partials([a[0] for a in mats])[-1], 0, (0,) + (1,) * (m - 1), 0)]
-    push, pop = heapq.heappush, heapq.heappop
+    # (sum, code, parent tuple, advanced axis, parent's node sums); the root's
+    # parent is a step before it on axis 0, with the root's own sums
+    first = tree.partials([a[0] for a in mats])
+    fringe: list[tuple] = [(first[-1], 0, (0,) + (1,) * (m - 1), 0, first)]
+    push, pop, advanced = heapq.heappush, heapq.heappop, tree.advanced
     peak = 1
     pushes = 1
     values: list[float] = []
     indices: list[tuple[int, ...]] = []
     for _ in range(k):
-        val, code, parent, axis = pop(fringe)
-        idx = parent[:axis] + (parent[axis] + 1,) + parent[axis + 1:]
+        val, code, parent, axis, sums = pop(fringe)
+        i = parent[axis]
+        idx = parent[:axis] + (i + 1,) + parent[axis + 1:]
         values.append(val)
         indices.append(idx)
-        sums = tree.partials([mats[t][i - 1] for t, i in enumerate(idx)])
+        sums = advanced(sums, axis, mats[axis][i])
         for t in range(axis, m):
             i = idx[t]
             if i == dims[t]:
@@ -405,7 +428,7 @@ def sort_tensor_select(arrays: Sequence[Sequence[float]], k: int, *,
                 value = mats[t][i]
             except IndexError:
                 value = axes[t].reach(i + 1)[i]
-            push(fringe, (tree.child(sums, t, value), code + strides[t], idx, t))
+            push(fringe, (tree.child(sums, t, value), code + strides[t], idx, t, sums))
             pushes += 1
         if len(fringe) > peak:
             peak = len(fringe)

@@ -151,6 +151,27 @@ def test_tree_shape_matches_reference():
             assert tree.levels(counts, first) == expected, (m, first)
 
 
+def test_tree_advanced_resums_only_the_leaf_path():
+    # values over 16 decades and both signed zeros: a stale ancestor gives
+    # another float, or a zero of the other sign, which repr tells apart
+    rng = random.Random(44)
+    for m in range(1, 71):
+        tree = _Tree(m)
+        for zeros in (0.25, 1.0):  # the share of signed zeros drawn
+            def draw():
+                if rng.random() < zeros:
+                    return rng.choice((-0.0, 0.0))
+                return rng.uniform(-1, 1) * 10 ** rng.randint(-8, 8)
+            vals = [draw() for _ in range(m)]
+            sums = tree.partials(vals)
+            before = repr(sums)
+            for t in range(m):
+                value = draw()
+                cell = vals[:t] + [value] + vals[t + 1:]
+                assert repr(tree.advanced(sums, t, value)) == repr(tree.partials(cell)), (m, t)
+            assert repr(sums) == before, m  # the parent's sums are shared, never written
+
+
 def test_brute_guard():
     with pytest.raises(GuardError):
         brute_force_select([[0.0] * 100] * 4, 5, guard=10**6)
@@ -496,6 +517,26 @@ def test_tensor_selectors_resum_at_wide_m(m):
             assert value == balanced_sum([ordered[t][i - 1] for t, i in enumerate(idx)])
         assert r.values == sort_tree_select(arrays, k).values
         assert sorted(soft_tensor_select(arrays, k, debug_checks=True).values) == r.values
+
+
+@pytest.mark.parametrize("m", [5, 7])
+def test_sort_tensor_resums_along_deep_pop_chains(m):
+    # a popped cell's node sums are its parent's, advanced on one leaf path,
+    # so the k-th cell's come from a chain of sum(idx) - m carried re-sums;
+    # over 16 decades (and one signed zero per axis) a stale node gives
+    # another float
+    rng = random.Random(51 + m)
+    arrays = []
+    for _ in range(m):
+        a = [rng.uniform(-1, 1) * 10 ** rng.randint(-8, 8) for _ in range(63)]
+        a.append(rng.choice((-0.0, 0.0)))
+        rng.shuffle(a)
+        arrays.append(a)
+    ordered = [sorted(a) for a in arrays]  # one zero per axis: no order among equals
+    r = sort_tensor_select(arrays, 2000)
+    assert max(sum(idx) - m for idx in r.indices) >= 40
+    for value, idx in zip(r.values, r.indices):
+        assert repr(value) == repr(balanced_sum([ordered[t][i - 1] for t, i in enumerate(idx)])), idx
 
 
 def test_sort_tensor_breaks_ties_by_index_tuple():
