@@ -12,7 +12,7 @@ from .loh import (LayerOrderedHeap, LayerSchedule, LeafGenerator, LohGenerator,
                   children_of, lohify, select_k_loh, verify_loh)
 from .pairwise import PairSumNode, concatenation_select, soft_select_pairwise
 from .select1d import select_k
-from .selectors import (RunStats, SelectionResult, brute_force_select,
+from .selectors import (DEFAULT_ALPHA, SELECTORS, RunStats, SelectionResult, brute_force_select,
                         fast_soft_tree_select, soft_tensor_select,
                         soft_tree_select, sort_tensor_select, sort_tree_select,
                         theoretical_exponent)
@@ -24,7 +24,7 @@ __all__ = [
     "children_of", "lohify", "select_k_loh", "verify_loh",
     "PairSumNode", "concatenation_select", "soft_select_pairwise",
     "select_k",
-    "RunStats", "SelectionResult", "brute_force_select",
+    "DEFAULT_ALPHA", "SELECTORS", "RunStats", "SelectionResult", "brute_force_select",
     "fast_soft_tree_select", "soft_tensor_select", "soft_tree_select",
     "sort_tensor_select", "sort_tree_select", "theoretical_exponent",
     "SoftHeap",

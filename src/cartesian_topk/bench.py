@@ -16,30 +16,18 @@ import os
 import re
 import time
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
 from .errors import ContractViolation, InputParseError, ParameterError
-from .selectors import (DEFAULT_GUARD, RunStats, SelectionResult, brute_force_select,
-                        fast_soft_tree_select, soft_tensor_select, soft_tree_select,
-                        sort_tensor_select, sort_tree_select)
+from .loh import LayerSchedule
+from .selectors import (DEFAULT_ALPHA, DEFAULT_GUARD, SELECTORS, RunStats, SelectionResult,
+                        brute_force_select)
 
-ALGORITHMS = ("soft-tensor", "soft-tree", "sort-tensor", "sort-tree", "fast-soft-tree")
 DISTRIBUTIONS = ("uniform", "exponential", "file")
 GUARD_ENV_VAR = "CARTESIAN_TOPK_GUARD"
 
 _TOKEN = re.compile(r"[^\s,]+")
-
-
-_RUNNERS: dict[str, Callable] = {
-    "soft-tensor": lambda arrays, k, alpha, stats: soft_tensor_select(arrays, k, stats=stats),
-    "soft-tree": lambda arrays, k, alpha, stats: soft_tree_select(arrays, k, stats=stats),
-    "sort-tensor": lambda arrays, k, alpha, stats: sort_tensor_select(arrays, k, stats=stats),
-    "sort-tree": lambda arrays, k, alpha, stats: sort_tree_select(arrays, k, stats=stats),
-    "fast-soft-tree": lambda arrays, k, alpha, stats: fast_soft_tree_select(
-        arrays, k, alpha, stats=stats),
-}
 
 
 def resolve_guard() -> int:
@@ -61,7 +49,7 @@ class BenchConfig:
     m: int = 4
     n: int = 8
     k: int = 8
-    alpha: float = 1.1
+    alpha: float = DEFAULT_ALPHA
     distribution: str = "uniform"
     input_file: str | None = None
     seed: int = 0
@@ -73,12 +61,11 @@ class BenchConfig:
 
     def algorithm_list(self) -> list[str]:
         if self.algorithm == "all":
-            return list(ALGORITHMS) + ["brute-force"]
+            return [*SELECTORS, "brute-force"]
         return [self.algorithm]
 
     def check(self) -> None:
-        if self.algorithm != "all" and self.algorithm != "brute-force" \
-                and self.algorithm not in ALGORITHMS:
+        if self.algorithm not in (*SELECTORS, "brute-force", "all"):
             raise ParameterError(f"unknown algorithm {self.algorithm!r}")
         if self.distribution not in DISTRIBUTIONS:
             raise ParameterError(f"unknown distribution {self.distribution!r}")
@@ -92,9 +79,8 @@ class BenchConfig:
             raise ParameterError(f"replicates must be positive, got {self.replicates}")
         if self.distribution != "file" and (self.m < 1 or self.n < 1):
             raise ParameterError("m and n must be positive")
-        needs_alpha = self.algorithm in ("fast-soft-tree", "all")
-        if needs_alpha and not 1.0 < self.alpha < 2.0:
-            raise ParameterError(f"alpha must lie in (1, 2), got {self.alpha}")
+        if self.algorithm in ("fast-soft-tree", "all"):
+            LayerSchedule(self.alpha, 1)  # the library's alpha check, before any run
 
 
 def generate_inputs(distribution: str, m: int, n: int, seed: int) -> list[list[float]]:
@@ -173,11 +159,12 @@ def run(config: BenchConfig) -> BenchReport:
 
         for algorithm in algorithms:
             stats = RunStats()
+            keywords = {"alpha": config.alpha} if algorithm == "fast-soft-tree" else {}
             start = time.perf_counter_ns()
             if algorithm == "brute-force":
                 result = brute_force_select(arrays, config.k, guard=config.guard)
-            else:
-                result = _RUNNERS[algorithm](arrays, config.k, config.alpha, stats)
+            else:  # looked up per call, so a patched registry entry is what runs
+                result = SELECTORS[algorithm](arrays, config.k, stats=stats, **keywords)
             wall = time.perf_counter_ns() - start
 
             if config.validate and not validating:
@@ -255,4 +242,4 @@ plot for [alg in "{algorithms}"] '{csv}' every ::1 \\
 
 def write_gnuplot_script(path: str, csv_path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(GNUPLOT_TEMPLATE.format(algorithms=" ".join(ALGORITHMS), csv=csv_path))
+        fh.write(GNUPLOT_TEMPLATE.format(algorithms=" ".join(SELECTORS), csv=csv_path))

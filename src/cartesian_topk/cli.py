@@ -9,11 +9,13 @@ traceback.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from contextlib import nullcontext
 
-from .bench import ALGORITHMS, BenchConfig, render_csv, run, write_gnuplot_script
+from .bench import BenchConfig, render_csv, run, write_gnuplot_script
 from .errors import ContractViolation, GuardError, InputParseError, ParameterError
+from .selectors import DEFAULT_ALPHA, SELECTORS
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -36,11 +38,11 @@ def build_parser() -> _Parser:
         description="Select the k smallest values of the Cartesian sum of m arrays "
                     "and record instrumentation as CSV.")
     parser.add_argument("--algorithm", default="all",
-                        choices=list(ALGORITHMS) + ["brute-force", "all"])
+                        choices=[*SELECTORS, "brute-force", "all"])
     parser.add_argument("--m", type=int, default=4, help="number of arrays")
     parser.add_argument("--n", type=int, default=8, help="length of each generated array")
     parser.add_argument("--k", type=int, default=8, help="selection size")
-    parser.add_argument("--alpha", type=float, default=1.1,
+    parser.add_argument("--alpha", type=float, default=DEFAULT_ALPHA,
                         help="layer-growth rank for fast-soft-tree, in (1, 2)")
     parser.add_argument("--distribution", default="uniform",
                         choices=["uniform", "exponential", "file"])
@@ -64,6 +66,8 @@ def main(argv: list[str] | None = None) -> int:
         ns = parser.parse_args(argv)
         if ns.emit_gnuplot and not ns.output:
             raise _UsageError("--emit-gnuplot requires --output")
+        if ns.emit_gnuplot and os.path.realpath(ns.emit_gnuplot) == os.path.realpath(ns.output):
+            raise _UsageError("--emit-gnuplot and --output name the same file")
         config = BenchConfig(
             algorithm=ns.algorithm, m=ns.m, n=ns.n, k=ns.k, alpha=ns.alpha,
             distribution=ns.distribution, input_file=ns.input_file, seed=ns.seed,

@@ -19,6 +19,7 @@ its axis realized in ascending order only as far as it is read.
 from __future__ import annotations
 
 import math
+import numbers
 from bisect import bisect_left
 from typing import Sequence
 
@@ -42,8 +43,8 @@ class LayerSchedule:
     __slots__ = ("alpha", "n", "_totals")
 
     def __init__(self, alpha: float, n: int):
-        if not 1.0 < alpha < 2.0:
-            raise ParameterError(f"alpha must lie in (1, 2), got {alpha}")
+        if not (isinstance(alpha, numbers.Real) and 1.0 < alpha < 2.0):
+            raise ParameterError(f"alpha must be a real number in (1, 2), got {alpha!r}")
         if n < 1:
             raise ContractViolation(f"n must be positive, got {n}")
         self.alpha = alpha
@@ -223,8 +224,7 @@ def select_k_loh(values: Sequence[float], k: int, alpha: float) -> list:
     search continues inside it, following the recurrence
     r(k) = k + r((alpha - 1) * k).
     """
-    if not 1.0 < alpha < 2.0:
-        raise ParameterError(f"alpha must lie in (1, 2), got {alpha}")
+    LayerSchedule(alpha, 1)  # the alpha check, also when k = n needs no layers
     vals = list(values)
     n = len(vals)
     if k < 1 or k > n:

@@ -29,7 +29,7 @@ from .soft_heap import SoftHeap, pop_and_pool
 DEFAULT_EPSILON = 0.25
 
 
-def soft_select_pairwise(a: Sequence[float], b: Sequence[float], k: int,
+def soft_select_pairwise(a: Sequence[float], b: Sequence[float], k: int, *,
                          stats=None) -> list:
     """Exact k smallest values of the Cartesian sum A + B.
 

@@ -1,13 +1,16 @@
 """End-to-end k-selection on the Cartesian sum X1 + X2 + ... + Xm.
 
-Five algorithms behind one calling convention, plus a brute-force
-oracle.  ``soft_tensor_select`` walks the m-dimensional index tensor
-with one soft heap; ``soft_tree_select`` runs pairwise soft-heap
-selection up a balanced binary tree; ``sort_tensor_select`` and
-``sort_tree_select`` enumerate values in ascending order (tensor fringe
-and tree-of-fringes respectively); ``fast_soft_tree_select`` stacks
-layer-ordered-heap pair-sum generators into a tree so sibling work stays
-near k+1 values per node.
+Five algorithms share one calling convention, ``select(arrays, k, *,
+stats=None, ...)``: every later parameter is keyword-only with a default
+(soft-tensor's ``debug_checks``, sort-tree's ``want_indices``,
+fast-soft-tree's ``alpha=DEFAULT_ALPHA``; the oracle's ``guard``), so
+``SELECTORS``, the one map from CLI name to function, runs any of them.
+``soft_tensor_select`` walks the index tensor with one soft heap;
+``soft_tree_select`` runs pairwise soft-heap selection up a balanced
+binary tree; ``sort_tensor_select`` and ``sort_tree_select`` enumerate
+values in ascending order (a tensor fringe, a tree of fringes);
+``fast_soft_tree_select`` stacks layer-ordered-heap pair-sum generators
+into a tree so sibling work stays near k+1 values per node.
 
 All six convert and check each axis once, to float64, and k once, to an
 int, in ``_checked``; the selectors then read each axis as a lazily sorted
@@ -19,9 +22,7 @@ algorithms and the oracle, and outputs can be compared as exact
 multisets.  The tree selectors stack their nodes in that list's order;
 in the tensor selectors a child cell differs from its parent in one
 axis, so its sum re-adds only that leaf's path, at most ceil(log2 m)
-additions.  Sort-tensor also carries each popped cell's node sums to its
-children, so a pop re-sums that path alone (ceil(log2 m) additions, not
-m-1), and a popped cell's sums stay alive while a child is in the fringe.
+additions; a sort-tensor pop re-sums only that path of its parent's sums.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .select1d import AscendingPrefix, select_k
 from .soft_heap import SoftHeap, pop_and_pool
 
 DEFAULT_GUARD = 10_000_000
+DEFAULT_ALPHA = 1.1
 
 
 @dataclass
@@ -514,9 +516,9 @@ class _SortMerge:
         return values
 
 
-def sort_tree_select(arrays: Sequence[Sequence[float]], k: int,
-                     want_indices: bool = False, *,
-                     stats: RunStats | None = None) -> SelectionResult:
+def sort_tree_select(arrays: Sequence[Sequence[float]], k: int, *,
+                     stats: RunStats | None = None,
+                     want_indices: bool = False) -> SelectionResult:
     """k smallest sums in ascending order via a balanced tree of merges whose
     leaves are the axes themselves; indices are decoded down the tree from
     each merge's ``history``."""
@@ -550,16 +552,17 @@ def sort_tree_select(arrays: Sequence[Sequence[float]], k: int,
 # Balanced tree of layer-ordered pair-sum generators
 # ---------------------------------------------------------------------------
 
-def fast_soft_tree_select(arrays: Sequence[Sequence[float]], k: int, alpha: float, *,
-                          stats: RunStats | None = None) -> SelectionResult:
+def fast_soft_tree_select(arrays: Sequence[Sequence[float]], k: int, *,
+                          stats: RunStats | None = None,
+                          alpha: float = DEFAULT_ALPHA) -> SelectionResult:
     """k smallest sums via a tree of layer-ordered pair-sum generators.
 
     Leaves slice each layer off their ascending array when asked;
     internal nodes generate their sum layers on demand, so each level of
     the tree produces only about alpha^2 times the values of the level
     above it.  The root generates layers until it holds k values, then an
-    exact 1-D selection finishes.  The first leaf's ``LayerSchedule``
-    refuses an alpha outside (1, 2) with ``ParameterError``.
+    exact 1-D selection finishes.  ``LayerSchedule`` refuses an alpha
+    that is not a real number in (1, 2) with ``ParameterError``.
     """
     axes, k = _validated(arrays, k, stats)
     m = len(axes)
@@ -580,3 +583,8 @@ def fast_soft_tree_select(arrays: Sequence[Sequence[float]], k: int, alpha: floa
             stats.fringe_peak = max(stats.fringe_peak, n.soft_heap.peak_size)
         stats.values_generated += sum(stats.generated_per_level.values())
     return SelectionResult(values=select_k(root.values, k), sorted=False)
+
+
+SELECTORS = {"soft-tensor": soft_tensor_select, "soft-tree": soft_tree_select,
+             "sort-tensor": sort_tensor_select, "sort-tree": sort_tree_select,
+             "fast-soft-tree": fast_soft_tree_select}

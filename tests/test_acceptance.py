@@ -14,22 +14,15 @@ from collections import Counter
 
 import numpy as np
 
-from cartesian_topk import (LayerSchedule, LeafGenerator, RunStats, SoftHeap,
+from cartesian_topk import (SELECTORS, LayerSchedule, LeafGenerator, RunStats, SoftHeap,
                             brute_force_select, concatenation_select, fast_soft_tree_select,
-                            lohify, select_k, select_k_loh, soft_tensor_select,
-                            soft_tree_select, sort_tensor_select, sort_tree_select,
-                            theoretical_exponent, verify_loh)
+                            lohify, select_k, select_k_loh, sort_tensor_select,
+                            sort_tree_select, theoretical_exponent, verify_loh)
 from cartesian_topk.bench import generate_inputs
 
 ALPHA_GRID = (1.05, 1.1, 1.3, 1.5, 1.9)
 
-SELECTOR_RUNNERS = (
-    ("soft-tensor", lambda arrays, k: sorted(soft_tensor_select(arrays, k).values)),
-    ("soft-tree", lambda arrays, k: sorted(soft_tree_select(arrays, k).values)),
-    ("sort-tensor", lambda arrays, k: sort_tensor_select(arrays, k).values),
-    ("sort-tree", lambda arrays, k: sort_tree_select(arrays, k).values),
-    ("fast-soft-tree", lambda arrays, k: sorted(fast_soft_tree_select(arrays, k, 1.3).values)),
-)
+KEYWORDS = {"fast-soft-tree": {"alpha": 1.3}}  # what criterion 1 passes beyond the defaults
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -55,9 +48,10 @@ def test_criterion_1_oracle_equivalence_grid():
             expected_full = brute_force_select(arrays, max(ks)).values
             for k in ks:
                 expected = expected_full[:k]
-                for name, runner in SELECTOR_RUNNERS:
+                for name, select in SELECTORS.items():
                     runs += 1
-                    if runner(arrays, k) != expected:
+                    result = select(arrays, k, **KEYWORDS.get(name, {}))
+                    if (result.values if result.sorted else sorted(result.values)) != expected:
                         mismatches += 1
     report(1, mismatches == 0,
            f"all five selectors match brute force on the full grid "
@@ -188,7 +182,7 @@ def test_criterion_7_sublinear_growth_in_m():
             rng = np.random.Generator(np.random.PCG64(seed))
             arrays = [row.tolist() for row in rng.random((m, n))]
             stats = RunStats()
-            fast_soft_tree_select(arrays, k, alpha, stats=stats)
+            fast_soft_tree_select(arrays, k, alpha=alpha, stats=stats)
             agg += stats.values_generated
         totals[m] = agg / len(seeds)
     limit = alpha * alpha * 1.25
@@ -323,7 +317,7 @@ def test_criterion_9_single_margin_advance():
             rng = np.random.Generator(np.random.PCG64(seed * 733 + m * 19 + n))
             arrays = [row.tolist() for row in rng.random((m, n))]
             for k in ks:
-                sort_tree_select(arrays, k, True)
+                sort_tree_select(arrays, k, want_indices=True)
                 runs += 1
     report(9, True,
            f"no pop advanced both margins across {runs} instrumented runs "

@@ -1,3 +1,5 @@
+import csv
+import io
 import os
 import statistics
 import subprocess
@@ -150,15 +152,16 @@ def test_run_reads_input_file_once(tmp_path, monkeypatch):
 
 
 def test_run_validation_detects_fault(monkeypatch):
-    import cartesian_topk.bench as bench
+    import cartesian_topk.selectors as selectors
+    sort_tree_select = selectors.SELECTORS["sort-tree"]
 
-    def broken(arrays, k, alpha, stats):
-        from cartesian_topk import sort_tree_select
-        result = sort_tree_select(arrays, k)
+    def broken(arrays, k, *, stats=None, want_indices=False):
+        result = sort_tree_select(arrays, k, stats=stats, want_indices=want_indices)
         result.values[0] += 1.0  # corrupt one output value
         return result
 
-    monkeypatch.setitem(bench._RUNNERS, "sort-tree", broken)
+    # run() looks the selector up in the registry on every call
+    monkeypatch.setitem(selectors.SELECTORS, "sort-tree", broken)
     report = run(BenchConfig(algorithm="sort-tree", m=3, n=3, k=4, validate=True))
     assert report.violations
     assert report.rows[0]["validated"] == "fail"
@@ -240,18 +243,20 @@ def test_cli_parse_error(tmp_path, capsys):
 
 
 def test_cli_validation_failure_exit_code(tmp_path, monkeypatch, capsys):
-    import cartesian_topk.bench as bench
+    import cartesian_topk.selectors as selectors
+    soft_tree_select = selectors.SELECTORS["soft-tree"]
 
-    def broken(arrays, k, alpha, stats):
-        from cartesian_topk import soft_tree_select
-        result = soft_tree_select(arrays, k)
+    def broken(arrays, k, *, stats=None):
+        result = soft_tree_select(arrays, k, stats=stats)
         result.values = result.values[:-1] + [result.values[-1] + 0.5]
         return result
 
-    monkeypatch.setitem(bench._RUNNERS, "soft-tree", broken)
+    monkeypatch.setitem(selectors.SELECTORS, "soft-tree", broken)
     code = main(["--algorithm", "soft-tree", "--m", "2", "--n", "4", "--k", "3",
                  "--validate"])
     assert code == 3
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert [row["validated"] for row in rows] == ["fail"]
 
 
 def test_cli_file_input_roundtrip(tmp_path):
@@ -277,6 +282,25 @@ def test_cli_guard_env(tmp_path, monkeypatch, capsys):
 def test_cli_gnuplot_requires_output():
     assert main(["--algorithm", "sort-tree", "--m", "2", "--n", "4", "--k", "3",
                  "--emit-gnuplot", "x.gp"]) == 1
+
+
+def test_cli_gnuplot_onto_output_refused(tmp_path, capsys, monkeypatch):
+    # the script would overwrite the CSV it plots; refused before anything is
+    # opened, also when the two paths differ only in spelling or by a link
+    def no_run(config):
+        raise AssertionError("run() started")
+    monkeypatch.setattr("cartesian_topk.cli.run", no_run)
+    out = tmp_path / "rows.csv"
+    out.write_text("kept\n")
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "link.csv").symlink_to(out)
+    for script in (out, tmp_path / "sub" / ".." / "rows.csv", tmp_path / "link.csv"):
+        code = main(["--algorithm", "sort-tree", "--m", "2", "--n", "4", "--k", "3",
+                     "--output", str(out), "--emit-gnuplot", str(script)])
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("usage error:"), err
+        assert out.read_text() == "kept\n"
 
 
 def test_cli_gnuplot_script(tmp_path):

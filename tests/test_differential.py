@@ -45,9 +45,7 @@ import time
 import numpy as np
 import pytest
 
-from cartesian_topk import (RunStats, brute_force_select, fast_soft_tree_select,
-                            soft_tensor_select, soft_tree_select, sort_tensor_select,
-                            sort_tree_select)
+from cartesian_topk import SELECTORS, RunStats, brute_force_select
 from test_acceptance import _reference_pops_per_level
 from test_selectors import check_oracle_indices
 
@@ -133,19 +131,21 @@ def _check_cases(container, cases, seed=0, equal_length=False):
         expected = oracle.values
         ascending = [sorted(np.asarray(a, dtype=np.float64).tolist()) for a in arrays]
 
-        calls = {
-            "soft-tensor": lambda s: soft_tensor_select(arrays, k, stats=s, debug_checks=True),
-            "soft-tree": lambda s: soft_tree_select(arrays, k, stats=s),
-            "sort-tensor": lambda s: sort_tensor_select(arrays, k, stats=s),
-            "sort-tree": lambda s: sort_tree_select(arrays, k, True, stats=s),
-            "fast-soft-tree": lambda s: fast_soft_tree_select(arrays, k, alpha, stats=s),
-        }
-        stats = {name: RunStats() for name in calls}
-        results = {name: call(stats[name]) for name, call in calls.items()}
+        # what the harness passes beyond each selector's defaults
+        keywords = {"soft-tensor": {"debug_checks": True}, "sort-tree": {"want_indices": True},
+                    "fast-soft-tree": {"alpha": alpha}}
+
+        def call(name, stats):
+            return SELECTORS[name](arrays, k, stats=stats, **keywords.get(name, {}))
+
+        stats = {name: RunStats() for name in SELECTORS}
+        results = {name: call(name, stats[name]) for name in SELECTORS}
         for name, result in results.items():
             got = result.values if result.sorted else sorted(result.values)
             assert got == expected, (name, where)
             assert all(type(v) is float for v in got), (name, where)
+        # every registered selector was checked, and every keyword reached one
+        assert results.keys() == SELECTORS.keys() >= keywords.keys(), where
         for name in ("sort-tensor", "sort-tree"):
             result = results[name]
             resummed = [_balanced_sum([ax[i - 1] for ax, i in zip(ascending, idx)])
@@ -168,7 +168,7 @@ def _check_cases(container, cases, seed=0, equal_length=False):
         # order, and every counter
         for name in ("soft-tree", "fast-soft-tree"):
             again = RunStats()
-            assert calls[name](again).values == results[name].values, (name, where)
+            assert call(name, again).values == results[name].values, (name, where)
             assert again == stats[name], (name, where)
         soft = stats["soft-tensor"]
         assert soft.corrupted_count <= soft.values_generated / (3 * len(arrays)), where

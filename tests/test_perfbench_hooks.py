@@ -1,12 +1,13 @@
-"""The benchmark's per-layer tracer still finds every name it wraps.
+"""The benchmark still runs the library's selectors, and its per-layer
+tracer still finds every name it wraps.
 
 ``perfbench/layers.py`` patches functions and methods of the package by
 name, and ``perfbench/run.py`` reads a fixed set of keys from its
 ``call_metrics``; a refactor that drops one of those names, or stops
 calling one so that its key silently reads 0, would show only in a
-benchmark run.  This test runs the tracer once per selector on a small
-input instead, and requires every per-layer key to read above 0, apart
-from the few listed below.
+benchmark run.  The tracer test runs the tracer once per selector on a
+small input instead, and requires every per-layer key to read above 0,
+apart from the few listed below.
 """
 
 import importlib.util
@@ -14,7 +15,7 @@ import sys
 from pathlib import Path
 
 import cartesian_topk
-from cartesian_topk import RunStats, brute_force_select
+from cartesian_topk import DEFAULT_ALPHA, SELECTORS, RunStats, brute_force_select
 from cartesian_topk.bench import generate_inputs
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -28,13 +29,26 @@ MAY_BE_ZERO = {"pairwise.parked"}
 SOFT_HEAP_SELECTORS = {"soft_tensor", "soft_tree", "fast_soft_tree"}
 
 
-def test_tracer_wraps_every_name(monkeypatch):
+def _load_run(monkeypatch):
     # run.py imports its siblings by plain name, so perfbench/ goes on sys.path
     monkeypatch.syspath_prepend(str(PERFBENCH))
     spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
     run = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, run)  # its dataclasses look themselves up there
     spec.loader.exec_module(run)
+    return run
+
+
+def test_benchmark_runs_the_library_selectors(monkeypatch):
+    # perfbench keeps its own name list (frozen_v0 has no registry), so a
+    # selector added to the library, or a changed default alpha, shows here
+    run = _load_run(monkeypatch)
+    assert set(run.SELECTORS) == {name.replace("-", "_") for name in SELECTORS}
+    assert run.ALPHA == DEFAULT_ALPHA
+
+
+def test_tracer_wraps_every_name(monkeypatch):
+    run = _load_run(monkeypatch)
     import layers
 
     tracer = layers.LayerTracer(cartesian_topk)  # raises if a patched name is gone

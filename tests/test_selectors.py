@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cartesian_topk import (ContractViolation, GuardError, LeafGenerator,
+from cartesian_topk import (SELECTORS, ContractViolation, GuardError, LeafGenerator,
                             PairSumNode, ParameterError, RunStats,
                             brute_force_select, fast_soft_tree_select,
                             soft_tensor_select, soft_tree_select,
@@ -29,13 +29,18 @@ def oracle_values(arrays, k):
     return sums[:k]
 
 
-SELECTORS = [
-    ("soft-tensor", lambda arrays, k: sorted(soft_tensor_select(arrays, k, debug_checks=True).values)),
-    ("soft-tree", lambda arrays, k: sorted(soft_tree_select(arrays, k).values)),
-    ("sort-tensor", lambda arrays, k: sort_tensor_select(arrays, k).values),
-    ("sort-tree", lambda arrays, k: sort_tree_select(arrays, k, True).values),
-    ("fast-soft-tree", lambda arrays, k: sorted(fast_soft_tree_select(arrays, k, 1.3).values)),
-]
+# what the agreement tests pass beyond each selector's defaults
+KEYWORDS = {"soft-tensor": {"debug_checks": True}, "sort-tree": {"want_indices": True},
+            "fast-soft-tree": {"alpha": 1.3}}
+
+
+def values(name, arrays, k):
+    """Values of the registered selector ``name`` called with ``KEYWORDS``, in
+    ascending order (a sorted selector's own), or the oracle's for "brute-force"."""
+    if name == "brute-force":
+        return brute_force_select(arrays, k).values
+    result = SELECTORS[name](arrays, k, **KEYWORDS.get(name, {}))
+    return result.values if result.sorted else sorted(result.values)
 
 
 # -- brute force oracle --------------------------------------------------------
@@ -179,25 +184,25 @@ def test_brute_guard():
 
 # -- shared contracts ----------------------------------------------------------
 
-@pytest.mark.parametrize("name,run", SELECTORS)
-def test_k_out_of_range(name, run):
+@pytest.mark.parametrize("name", SELECTORS)
+def test_k_out_of_range(name):
     with pytest.raises(ContractViolation):
-        run([[1.0, 2.0]], 3)
+        values(name, [[1.0, 2.0]], 3)
     with pytest.raises(ContractViolation):
-        run([[1.0, 2.0]], 0)
+        values(name, [[1.0, 2.0]], 0)
 
 
 @pytest.mark.parametrize("k", [2.0, 1.5, "2", True, False, np.True_])
 def test_non_integer_k_refused(k):
-    for name, run in [("brute-force", _oracle)] + SELECTORS:
+    for name in ["brute-force", *SELECTORS]:
         with pytest.raises(ContractViolation, match=r"^k=.* not an integer"):
-            run([[1.0, 2.0], [3.0]], k)
+            values(name, [[1.0, 2.0], [3.0]], k)
 
 
 def test_numpy_integer_k_acts_as_int():
     arrays = [[1.0, 2.0], [3.0]]
-    for name, run in [("brute-force", _oracle)] + SELECTORS:
-        assert run(arrays, np.int64(2)) == run(arrays, 2) == [4.0, 5.0], name
+    for name in ["brute-force", *SELECTORS]:
+        assert values(name, arrays, np.int64(2)) == values(name, arrays, 2) == [4.0, 5.0], name
     stats = [RunStats(), RunStats()]
     for k, s in zip((np.int64(2), 2), stats):
         sort_tree_select(arrays, k, stats=s)
@@ -213,10 +218,6 @@ def test_nan_rejected_at_boundary():
 
 # -- input boundary --------------------------------------------------------------
 
-def _oracle(arrays, k):
-    return brute_force_select(arrays, k).values
-
-
 @pytest.mark.parametrize("arrays,k", [
     ([np.array([0.1, 0.7, 0.3], dtype=np.float32), np.array([0.2, 1e-8], dtype=np.float32)], 4),
     ([np.array([2**62, 1]), np.array([2**62, 3])], 4),
@@ -228,10 +229,10 @@ def _oracle(arrays, k):
 def test_any_numeric_dtype_matches_oracle(arrays, k):
     # every axis (a row of a 2-D ndarray) is converted once to float64, and
     # outputs are Python floats
-    expected = _oracle(arrays, k)
+    expected = values("brute-force", arrays, k)
     assert expected == oracle_values([np.asarray(a, dtype=np.float64).tolist() for a in arrays], k)
-    for name, run in SELECTORS:
-        got = run(arrays, k)
+    for name in SELECTORS:
+        got = values(name, arrays, k)
         assert got == expected, name
         assert all(type(v) is float for v in got + expected), name
 
@@ -274,9 +275,9 @@ def test_boundary_rejects_unrepresentable_inputs(arrays, match):
     # complex, text, datetime and timedelta axes would convert to float64 (a
     # complex one with only a ComplexWarning, a date as days since the epoch),
     # so the boundary refuses them before converting; no axes at all is refused too
-    for name, run in [("brute-force", _oracle)] + SELECTORS:
+    for name in ["brute-force", *SELECTORS]:
         with pytest.raises(ContractViolation, match=match):
-            run(arrays, 1)
+            values(name, arrays, 1)
 
 
 @pytest.mark.parametrize("arrays,match", [
@@ -285,16 +286,52 @@ def test_boundary_rejects_unrepresentable_inputs(arrays, match):
     (np.array([[1.0, 2.0], [3.0, 4.0], [5.0, -np.inf]]), "array 2 .* got -inf"),
 ], ids=["ragged", "equal-length-lists", "2-d-ndarray"])
 def test_boundary_rejects_non_finite_naming_the_axis(arrays, match):
-    for name, run in [("brute-force", _oracle)] + SELECTORS:
+    for name in ["brute-force", *SELECTORS]:
         with pytest.raises(ParameterError, match=match):
-            run(arrays, 1)
+            values(name, arrays, 1)
 
 
 def test_fast_alpha_validation():
     with pytest.raises(ParameterError):
-        fast_soft_tree_select([[1.0]], 1, 2.0)
+        fast_soft_tree_select([[1.0]], 1, alpha=2.0)
     with pytest.raises(ParameterError):
-        fast_soft_tree_select([[1.0]], 1, 0.9)
+        fast_soft_tree_select([[1.0]], 1, alpha=0.9)
+    # LayerSchedule, the one alpha check, refuses a non-real alpha with the
+    # documented error, not a TypeError from comparing it with 1 and 2
+    for alpha in ("1.5", None, 1.5 + 0j, float("nan")):
+        with pytest.raises(ParameterError, match="alpha must be a real number"):
+            fast_soft_tree_select([[1, 2], [3, 4]], 2, alpha=alpha)
+    got = fast_soft_tree_select([[1, 2], [3, 4]], 2, alpha=np.float32(1.5))
+    assert sorted(got.values) == [4.0, 5.0]
+
+
+def test_one_calling_convention():
+    # arrays and k are the only positional parameters of every registered
+    # selector (and of the oracle); stats and each selector's own options
+    # are keyword-only with defaults, so one call runs any of them
+    import inspect
+
+    from cartesian_topk import soft_select_pairwise
+    from cartesian_topk.cli import build_parser
+    assert list(SELECTORS) == ["soft-tensor", "soft-tree", "sort-tensor", "sort-tree",
+                               "fast-soft-tree"]  # the CLI's names and the CSV's algorithm column
+    for name, select in [("brute-force", brute_force_select), *SELECTORS.items()]:
+        params = list(inspect.signature(select).parameters.values())
+        assert [(p.name, p.kind) for p in params[:2]] == [
+            ("arrays", inspect.Parameter.POSITIONAL_OR_KEYWORD),
+            ("k", inspect.Parameter.POSITIONAL_OR_KEYWORD)], name
+        assert all(p.kind is p.KEYWORD_ONLY and p.default is not p.empty
+                   for p in params[2:]), name
+        assert name == "brute-force" or params[2].name == "stats", name
+    arrays = [[1.0, 2.0], [3.0, 4.0]]
+    with pytest.raises(TypeError):
+        fast_soft_tree_select(arrays, 2, 1.3)
+    with pytest.raises(TypeError):
+        sort_tree_select(arrays, 2, True)
+    algorithm = next(a for a in build_parser()._actions if a.dest == "algorithm")
+    assert algorithm.choices == [*SELECTORS, "brute-force", "all"]
+    stats = inspect.signature(soft_select_pairwise).parameters["stats"]
+    assert (stats.kind, stats.default) == (stats.KEYWORD_ONLY, None)
 
 
 # -- frozen examples -----------------------------------------------------------
@@ -341,11 +378,11 @@ def test_sort_tree_singleton_axes():
 
 
 def test_fast_example():
-    assert sorted(fast_soft_tree_select([[1, 2], [1, 2]], 2, 1.5).values) == [2, 3]
+    assert sorted(fast_soft_tree_select([[1, 2], [1, 2]], 2, alpha=1.5).values) == [2, 3]
 
 
 def test_fast_all_zero():
-    got = fast_soft_tree_select([[0.0, 0.0]] * 4, 5, 1.1).values
+    got = fast_soft_tree_select([[0.0, 0.0]] * 4, 5, alpha=1.1).values
     assert got == [0.0] * 5
 
 
@@ -370,8 +407,8 @@ def test_agreement_small_grid():
                 expected_full = brute_force_select(arrays, max(ks)).values
                 for k in ks:
                     expected = expected_full[:k]
-                    for name, run in SELECTORS:
-                        assert run(arrays, k) == expected, (name, m, n, k)
+                    for name in SELECTORS:
+                        assert values(name, arrays, k) == expected, (name, m, n, k)
 
 
 def test_agreement_medium_m_cross_checked():
@@ -383,12 +420,12 @@ def test_agreement_medium_m_cross_checked():
         expected = sort_tensor_select(arrays, 64).values
         assert sort_tree_select(arrays, 64).values == expected
         assert sorted(soft_tree_select(arrays, 64).values) == expected
-        assert sorted(fast_soft_tree_select(arrays, 64, 1.1).values) == expected
+        assert sorted(fast_soft_tree_select(arrays, 64, alpha=1.1).values) == expected
 
     for seed in range(5):
         arrays = [row.tolist() for row in rng.random((16, 8))]
         expected = sort_tensor_select(arrays, 100).values
-        assert sort_tree_select(arrays, 100, True).values == expected
+        assert sort_tree_select(arrays, 100, want_indices=True).values == expected
         assert sorted(soft_tree_select(arrays, 100).values) == expected
 
 
@@ -398,7 +435,7 @@ def test_agreement_deep_m_cross_checked():
     expected = sort_tensor_select(arrays, 200).values
     assert sort_tree_select(arrays, 200).values == expected
     assert sorted(soft_tree_select(arrays, 200).values) == expected
-    assert sorted(fast_soft_tree_select(arrays, 200, 1.05).values) == expected
+    assert sorted(fast_soft_tree_select(arrays, 200, alpha=1.05).values) == expected
 
 
 def test_fast_beyond_float_range():
@@ -406,19 +443,18 @@ def test_fast_beyond_float_range():
     rng = np.random.Generator(np.random.PCG64(14))
     arrays = [row.tolist() for row in rng.random((256, 64))]
     expected = sort_tree_select(arrays, 1024).values
-    assert sorted(fast_soft_tree_select(arrays, 1024, 1.1).values) == expected
+    assert sorted(fast_soft_tree_select(arrays, 1024, alpha=1.1).values) == expected
 
 
-@pytest.mark.parametrize("name", ["brute-force"] + [name for name, _ in SELECTORS])
+@pytest.mark.parametrize("name", ["brute-force", *SELECTORS])
 def test_inputs_left_unchanged(name):
     rng = np.random.Generator(np.random.PCG64(15))
     lists = [row.tolist() for row in rng.integers(0, 4, (3, 6)).astype(np.float64)]
     ndarrays = [np.array(row) for row in lists]
-    run = dict(SELECTORS).get(name, lambda arrays, k: brute_force_select(arrays, k).values)
     for arrays in (lists, ndarrays, *([a.astype(t) for a in ndarrays]
                                       for t in (np.float32, np.int64, np.bool_))):
         before = [list(a) for a in arrays]
-        run(arrays, 20)
+        values(name, arrays, 20)
         assert [list(a) for a in arrays] == before
 
 
@@ -429,7 +465,7 @@ def test_fast_leaf_level_generation_bound():
         rng = np.random.Generator(np.random.PCG64(seed))
         arrays = [row.tolist() for row in rng.random((8, 16))]
         stats = RunStats()
-        got = sorted(fast_soft_tree_select(arrays, 128, 1.1, stats=stats).values)
+        got = sorted(fast_soft_tree_select(arrays, 128, alpha=1.1, stats=stats).values)
         assert got == sorted(soft_tree_select(arrays, 128).values)
         assert stats.generated_per_level[max(stats.generated_per_level)] <= bound
 
@@ -447,7 +483,7 @@ def test_fast_leaves_do_not_partition_whole_arrays(monkeypatch):
     monkeypatch.setattr(loh, "split_at", refuse)
     arrays = generate_inputs("exponential", 64, 1024, seed=1)
     stats = RunStats()
-    got = sorted(fast_soft_tree_select(arrays, 512, 1.1, stats=stats).values)
+    got = sorted(fast_soft_tree_select(arrays, 512, alpha=1.1, stats=stats).values)
     assert got == sort_tree_select(arrays, 512).values
     assert stats.generated_per_level[6] < 0.02 * 64 * 1024
 
@@ -461,8 +497,8 @@ def test_agreement_duplicate_heavy():
         total = math.prod(len(a) for a in arrays)
         k = rng.randint(1, total)
         expected = brute_force_select(arrays, k).values
-        for name, run in SELECTORS:
-            assert run(arrays, k) == expected, (name, arrays, k)
+        for name in SELECTORS:
+            assert values(name, arrays, k) == expected, (name, arrays, k)
 
 
 # -- sorted output, indices, invariants -----------------------------------------
@@ -473,7 +509,7 @@ def test_sorted_flags():
     assert sort_tree_select(arrays, 3).sorted
     assert not soft_tensor_select(arrays, 3).sorted
     assert not soft_tree_select(arrays, 3).sorted
-    assert not fast_soft_tree_select(arrays, 3, 1.5).sorted
+    assert not fast_soft_tree_select(arrays, 3, alpha=1.5).sorted
 
 
 def test_sorted_outputs_nondecreasing():
@@ -496,7 +532,7 @@ def test_sort_indices_resum_through_sorted_axes():
         total = math.prod(len(a) for a in arrays)
         k = rng.randint(1, min(total, 20))
         ordered = [sorted(a) for a in arrays]
-        for r in (sort_tensor_select(arrays, k), sort_tree_select(arrays, k, True)):
+        for r in (sort_tensor_select(arrays, k), sort_tree_select(arrays, k, want_indices=True)):
             assert r.indices is not None
             for value, idx in zip(r.values, r.indices):
                 assert value == balanced_sum([ordered[t][i - 1] for t, i in enumerate(idx)])
@@ -673,10 +709,10 @@ def test_soft_heap_calls_reach_the_class_methods(monkeypatch):
     monkeypatch.setattr(sel, "soft_select_pairwise", recorded)
     arrays, k = _golden_inputs()["ties"]
 
-    def run(select, *args):
+    def run(select, **keywords):
         counts.update(insert=0, extract_min=0)
         stats = RunStats()
-        select(arrays, k, *args, stats=stats)
+        select(arrays, k, stats=stats, **keywords)
         return stats
 
     stats = run(soft_tensor_select)
@@ -687,7 +723,7 @@ def test_soft_heap_calls_reach_the_class_methods(monkeypatch):
     assert len(outputs) == len(arrays) - 1
     assert counts["insert"] == stats.values_generated - node_outputs > 0
     assert counts["extract_min"] >= k
-    run(fast_soft_tree_select, 1.1)
+    run(fast_soft_tree_select, alpha=1.1)
     assert counts["insert"] > 0 and counts["extract_min"] > 0
 
 
@@ -703,7 +739,7 @@ def test_sort_tree_stats_shape():
 def test_fast_stats_levels():
     arrays = [[random.Random(47).random() for _ in range(8)] for _ in range(8)]
     stats = RunStats()
-    fast_soft_tree_select(arrays, 30, 1.2, stats=stats)
+    fast_soft_tree_select(arrays, 30, alpha=1.2, stats=stats)
     assert set(stats.generated_per_level) == {0, 1, 2, 3}
     assert stats.generated_per_level[0] >= 30
     assert stats.values_generated == sum(stats.generated_per_level.values())
@@ -718,11 +754,11 @@ def test_fast_stats_reused_across_depths_add_this_calls_levels():
     separate = []
     for arrays in (deep, shallow):
         stats = RunStats()
-        fast_soft_tree_select(arrays, 20, 1.2, stats=stats)
+        fast_soft_tree_select(arrays, 20, alpha=1.2, stats=stats)
         separate.append(stats.values_generated)
     shared = RunStats()
-    fast_soft_tree_select(deep, 20, 1.2, stats=shared)
-    fast_soft_tree_select(shallow, 20, 1.2, stats=shared)
+    fast_soft_tree_select(deep, 20, alpha=1.2, stats=shared)
+    fast_soft_tree_select(shallow, 20, alpha=1.2, stats=shared)
     assert shared.values_generated == sum(separate)
 
 
@@ -747,14 +783,6 @@ def _golden_inputs():
         "ties": (ties, 60),
     }
 
-
-_GOLDEN_RUNNERS = {
-    "soft-tensor": lambda a, k, s: soft_tensor_select(a, k, stats=s),
-    "soft-tree": lambda a, k, s: soft_tree_select(a, k, stats=s),
-    "sort-tensor": lambda a, k, s: sort_tensor_select(a, k, stats=s),
-    "sort-tree": lambda a, k, s: sort_tree_select(a, k, stats=s),
-    "fast-soft-tree": lambda a, k, s: fast_soft_tree_select(a, k, 1.1, stats=s),
-}
 
 # (pops_per_level, generated_per_level, values_generated, corrupted_count, fringe_peak)
 _GOLDEN_STATS = {
@@ -781,7 +809,7 @@ _GOLDEN_STATS = {
 def test_golden_run_stats(case, name):
     arrays, k = _golden_inputs()[case]
     stats = RunStats()
-    result = _GOLDEN_RUNNERS[name](arrays, k, stats)
+    result = SELECTORS[name](arrays, k, stats=stats)  # defaults: fast-soft-tree at alpha 1.1
     assert sorted(result.values) == brute_force_select(arrays, k).values
     got = (stats.pops_per_level, stats.generated_per_level, stats.values_generated,
            stats.corrupted_count, stats.fringe_peak)
@@ -897,16 +925,16 @@ def test_identical_calls_repeat_values_and_run_stats():
     arrays = generate_inputs("exponential", 8, 64, 5)
     rng = random.Random(6)
     unrelated = [rng.random() for _ in range(101)]
-    for name, run in _GOLDEN_RUNNERS.items():
+    for name, select in SELECTORS.items():
         outcomes = []
         for _ in range(3):
             stats = RunStats()
-            outcomes.append((run(arrays, 256, stats).values, stats))
+            outcomes.append((select(arrays, 256, stats=stats).values, stats))
             select_k(unrelated, 50)
         assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0], name
 
 
-@pytest.mark.parametrize("name", sorted(_GOLDEN_RUNNERS))
+@pytest.mark.parametrize("name", sorted(SELECTORS))
 def test_reused_run_stats_levels_describe_the_last_call(name):
     # one object through an m=8 fast-soft-tree call (both per-level fields
     # filled at depths 0-3), an m=8 and an m=2 call: the per-level fields
@@ -914,15 +942,15 @@ def test_reused_run_stats_levels_describe_the_last_call(name):
     rng = random.Random(50)
     deep = [[rng.random() for _ in range(6)] for _ in range(8)]
     shallow = [[rng.random() for _ in range(6)] for _ in range(2)]
-    calls = [(_GOLDEN_RUNNERS["fast-soft-tree"], deep), (_GOLDEN_RUNNERS[name], deep),
-             (_GOLDEN_RUNNERS[name], shallow)]
+    calls = [(SELECTORS["fast-soft-tree"], deep), (SELECTORS[name], deep),
+             (SELECTORS[name], shallow)]
     alone = []
-    for run, arrays in calls:
+    for select, arrays in calls:
         alone.append(RunStats())
-        run(arrays, 20, alone[-1])
+        select(arrays, 20, stats=alone[-1])
     shared = RunStats()
-    for run, arrays in calls:
-        run(arrays, 20, shared)
+    for select, arrays in calls:
+        select(arrays, 20, stats=shared)
     assert shared.pops_per_level == alone[-1].pops_per_level
     assert shared.generated_per_level == alone[-1].generated_per_level
     assert shared.values_generated == sum(s.values_generated for s in alone)
