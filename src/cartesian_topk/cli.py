@@ -60,14 +60,21 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _same_file(a: str | None, b: str | None) -> bool:
+    return bool(a and b) and os.path.realpath(a) == os.path.realpath(b)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         ns = parser.parse_args(argv)
         if ns.emit_gnuplot and not ns.output:
             raise _UsageError("--emit-gnuplot requires --output")
-        if ns.emit_gnuplot and os.path.realpath(ns.emit_gnuplot) == os.path.realpath(ns.output):
+        if _same_file(ns.emit_gnuplot, ns.output):
             raise _UsageError("--emit-gnuplot and --output name the same file")
+        for flag, path in (("--output", ns.output), ("--emit-gnuplot", ns.emit_gnuplot)):
+            if _same_file(path, ns.input_file):  # opening it would truncate the input
+                raise _UsageError(f"{flag} and --input-file name the same file")
         config = BenchConfig(
             algorithm=ns.algorithm, m=ns.m, n=ns.n, k=ns.k, alpha=ns.alpha,
             distribution=ns.distribution, input_file=ns.input_file, seed=ns.seed,

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -238,8 +239,8 @@ def _strides(dims: Sequence[int]) -> list[int]:
 
 def theoretical_exponent(alpha: float) -> float:
     """Exponent of m in the layered tree method's runtime: log2(alpha^2)."""
-    if alpha <= 0:
-        raise ParameterError(f"alpha must be positive, got {alpha}")
+    if not (isinstance(alpha, numbers.Real) and alpha > 0):
+        raise ParameterError(f"alpha must be a positive real number, got {alpha!r}")
     return 2.0 * math.log2(alpha)
 
 

@@ -2,45 +2,38 @@
 
 Every item is a plain ``(key, payload)`` tuple that is never changed.
 Items sit in per-node lists inside a forest of binary trees, at most one
-tree per rank, and an item's current key is always its node's key.
-insert only appends to a pending list; the next extract_min settles the
-counters (size, inserts, peak) for all pending items at once and
-carries each into the forest like a binary increment.  A rank-0 tree is
-always a leaf holding one item, so a pending item that meets one builds
-the rank-1 node directly: the smaller key (the pending item's on a tie)
-goes up, the other stays below as its only child.
+tree per rank, kept in a dict from rank to root in insertion order.  A
+node is a plain list ``[key, items, left, right, rank]``, and an item's
+current key is always its node's key.  insert only appends to a pending
+list.  extract_min is the one path that changes the forest: it first
+settles the counters (size, inserts, peak) for all pending items at once
+and carries each into the forest like a binary increment, then pops the
+first root of least key.  A rank-0 tree is always a leaf holding one
+item, so a pending item that meets one builds the rank-1 node directly:
+the smaller key (the pending item's on a tie) goes up, the other stays
+below as its only child.
 
-An emptied node refills by pulling up its smaller-key child's list
-together with its key, then refilling that child the same way down to a
-leaf, which raises no key.  Corruption happens in one place only: a new
-even-rank node above a cutoff derived from epsilon refills once more
-("car-pooling") and keeps its residents, whose node key rises.  An item
-is "corrupted" iff its key is below its node's key; at most epsilon * I
-items ever are, where I counts insertions, and each is reported once,
-by the extract_min that corrupts it.  Keys are never lowered.
+An emptied node refills by pulling up its smaller-key child's list (the
+left one on a tie) together with its key, then refilling that child the
+same way down to a leaf, which raises no key.  Corruption happens in one
+place only: a new even-rank node above a cutoff derived from epsilon
+refills once more ("car-pooling") and keeps its residents, whose node
+key rises.  An item is "corrupted" iff its key is below its node's key;
+at most epsilon * I items ever are, where I counts insertions, and each
+is reported once, by the extract_min that corrupts it.  Keys are never
+lowered.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from typing import Any, Callable
 
 from .errors import ContractViolation, ParameterError
 
-
-class _Node:
-    __slots__ = ("rank", "key", "items", "left", "right")
-
-    def __init__(self, rank: int, key: float, items: list, left=None, right=None):
-        self.rank = rank
-        self.key = key
-        self.items = items
-        self.left = left
-        self.right = right
-
-
-_node_key = operator.attrgetter("key")
+_key = operator.itemgetter(0)  # of a node [key, items, left, right, rank]
 
 
 class SoftHeap:
@@ -53,15 +46,15 @@ class SoftHeap:
     """
 
     def __init__(self, epsilon: float):
-        if not (isinstance(epsilon, (int, float)) and 0.0 < epsilon < 0.5):
-            raise ParameterError(f"epsilon must lie in (0, 1/2), got {epsilon}")
+        if not (isinstance(epsilon, numbers.Real) and 0.0 < epsilon < 0.5):
+            raise ParameterError(f"epsilon must be a real number in (0, 1/2), got {epsilon!r}")
         self.epsilon = float(epsilon)
         # Item lists double only when an even-rank node above this cutoff
         # is created.  At most I/2^r nodes of rank r ever exist and a
         # rank-r creation corrupts at most 2^((r-cutoff)/2) items, so the
         # items ever corrupted stay below I * 2^-cutoff <= epsilon * I / 2.
         self._rank_cutoff = math.ceil(math.log2(1.0 / self.epsilon)) + 1
-        self._trees: dict[int, _Node] = {}
+        self._trees: dict[int, list] = {}
         self._pending: list[tuple[float, Any]] = []
         self._size = 0
         self._inserts = 0
@@ -94,19 +87,58 @@ class SoftHeap:
 
     def extract_min(self) -> tuple[tuple[float, Any], list, float]:
         fresh: list = []
-        if self._pending:
-            self._consolidate(fresh)
-        elif not self._size:
-            raise ContractViolation("extract_min from an empty soft heap")
         trees = self._trees
-        root = min(trees.values(), key=_node_key)  # first of equal keys
-        key = root.key
-        items = root.items
+        pending = self._pending
+        size = self._size
+        if pending:
+            self._pending = []
+            self._inserts += len(pending)
+            size += len(pending)
+            if size > self._peak_size:
+                self._peak_size = size
+            pop = trees.pop
+            cutoff = self._rank_cutoff
+            for item in pending:
+                key = item[0]
+                leaf = pop(0, None)
+                if leaf is None:
+                    trees[0] = [key, [item], None, None, 0]
+                    continue
+                if leaf[0] < key:  # rank-0 carry: the smaller key rises, ties to the new item
+                    node = [leaf[0], leaf[1], leaf, None, 1]
+                    leaf[0] = key
+                    leaf[1] = [item]
+                else:
+                    node = [key, [item], leaf, None, 1]
+                rank = 1
+                other = pop(1, None)
+                while other is not None:
+                    # the new root takes the smaller root's list (node's on a
+                    # tie); that root, refilled, is its left child, or is
+                    # dropped if it was a leaf
+                    rank += 1
+                    if other[0] < node[0]:
+                        node, other = other, node
+                    if node[2] is None:
+                        node = [node[0], node[1], other, None, rank]
+                    else:
+                        node = [node[0], node[1], node, other, rank]
+                        _refill(node[2])
+                    if rank > cutoff and not rank & 1:
+                        _car_pool(node, fresh)
+                    other = pop(rank, None)
+                trees[rank] = node
+            self._corrupted += len(fresh)
+        elif not size:
+            raise ContractViolation("extract_min from an empty soft heap")
+        self._size = size - 1
+        root = min(trees.values(), key=_key)  # first of equal keys
+        key = root[0]
+        items = root[1]
         item = items.pop()
-        self._size -= 1
         if not items:
-            if root.left is None:
-                del trees[root.rank]
+            if root[2] is None:
+                del trees[root[4]]
             else:
                 _refill(root)
         return item, fresh, key
@@ -116,12 +148,12 @@ class SoftHeap:
         out = list(self._pending)
         stack = list(self._trees.values())
         while stack:
-            node = stack.pop()
-            out.extend(node.items)
-            if node.left is not None:
-                stack.append(node.left)
-            if node.right is not None:
-                stack.append(node.right)
+            _, items, left, right, _ = stack.pop()
+            out.extend(items)
+            if left is not None:
+                stack.append(left)
+            if right is not None:
+                stack.append(right)
         self._trees = {}
         self._pending = []
         self._size = 0
@@ -130,68 +162,35 @@ class SoftHeap:
         self._peak_size = 0
         return out
 
-    # -- internals ----------------------------------------------------------
 
-    def _consolidate(self, fresh: list) -> None:
-        pending = self._pending
-        self._pending = []
-        self._inserts += len(pending)
-        self._size += len(pending)
-        self._peak_size = max(self._peak_size, self._size)
-        trees = self._trees
-        cutoff = self._rank_cutoff
-        for item in pending:
-            key = item[0]
-            leaf = trees.pop(0, None)
-            if leaf is None:
-                trees[0] = _Node(0, key, [item])
-                continue
-            if leaf.key < key:  # rank-0 carry: the smaller key rises, ties to the new item
-                node = _Node(1, leaf.key, leaf.items, leaf)
-                leaf.key = key
-                leaf.items = [item]
-            else:
-                node = _Node(1, key, [item], leaf)
-            rank = 1
-            other = trees.pop(1, None)
-            while other is not None:
-                node = _Node(rank + 1, 0.0, None, node, other)
-                _refill(node)
-                rank += 1
-                if rank > cutoff and not rank & 1:
-                    _car_pool(node, fresh)
-                other = trees.pop(rank, None)
-            trees[rank] = node
-        self._corrupted += len(fresh)
-
-
-def _refill(x: _Node) -> None:
+def _refill(x: list) -> None:
     # Pulls up the list of x's smaller-key child (the left one on a tie)
     # and refills that child the same way; a drained leaf is dropped.
     while True:
-        y, z = x.left, x.right
-        if z is not None and z.key < y.key:
+        y, z = x[2], x[3]
+        if z is not None and z[0] < y[0]:
             y, z = z, y
-            x.left, x.right = y, z
-        x.items = y.items
-        x.key = y.key
-        if y.left is None:
-            x.left = z
-            x.right = None
+            x[2] = y
+            x[3] = z
+        x[0] = y[0]
+        x[1] = y[1]
+        if y[2] is None:
+            x[2] = z
+            x[3] = None
             return
         x = y
 
 
-def _car_pool(x: _Node, fresh: list) -> None:
+def _car_pool(x: list, fresh: list) -> None:
     # The only step that corrupts: x refills once more, keeping its
     # residents ahead of the list it pulls up, under its new key.  When the
     # key rises, a resident still at the old key was not corrupted before.
-    items, key = x.items, x.key
+    key, items = x[0], x[1]
     _refill(x)
-    if x.key > key:
+    if x[0] > key:
         fresh.extend([e for e in items if e[0] == key])
-    items.extend(x.items)
-    x.items = items
+    items.extend(x[1])
+    x[1] = items
 
 
 def pop_and_pool(soft: SoftHeap, pops: int, pool: list,
@@ -214,6 +213,7 @@ def pop_and_pool(soft: SoftHeap, pops: int, pool: list,
     # corrupted is reported in this call too, so the count stays exact.
     reported: set = set()
     extract = soft.extract_min
+    add = pool.append
     while done < pops and (soft._size or soft._pending):
         item, fresh, key = extract()
         if fresh:
@@ -222,7 +222,7 @@ def pop_and_pool(soft: SoftHeap, pops: int, pool: list,
         if not corrupted:
             fresh.append(item)
         for value, payload in fresh:
-            pool.append(value)
+            add(value)
             propose(payload)
         if not corrupted or id(item) in reported:
             done += 1

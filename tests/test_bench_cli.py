@@ -303,6 +303,30 @@ def test_cli_gnuplot_onto_output_refused(tmp_path, capsys, monkeypatch):
         assert out.read_text() == "kept\n"
 
 
+@pytest.mark.parametrize("flag", ["--output", "--emit-gnuplot"])
+def test_cli_output_onto_input_file_refused(tmp_path, capsys, monkeypatch, flag):
+    # opening the output would truncate the input before run() reads it;
+    # refused before anything is opened, also through another spelling or a link
+    def no_run(config):
+        raise AssertionError("run() started")
+    monkeypatch.setattr("cartesian_topk.cli.run", no_run)
+    src = tmp_path / "in.txt"
+    src.write_text("1 2\n3 4\n")
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "link.txt").symlink_to(src)
+    for target in (src, tmp_path / "sub" / ".." / "in.txt", tmp_path / "link.txt"):
+        args = ["--distribution", "file", "--input-file", str(src), "--k", "2"]
+        if flag == "--output":
+            args += ["--output", str(target)]
+        else:
+            args += ["--output", str(tmp_path / "rows.csv"), "--emit-gnuplot", str(target)]
+        assert main(args) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("usage error:") and flag in err[0], err
+        assert src.read_text() == "1 2\n3 4\n"
+    assert not (tmp_path / "rows.csv").exists()
+
+
 def test_cli_gnuplot_script(tmp_path):
     out = tmp_path / "rows.csv"
     script = tmp_path / "plot.gp"

@@ -390,8 +390,11 @@ def test_exponent_values():
     assert abs(theoretical_exponent(1.05) - 0.1407) <= 0.0001
     assert theoretical_exponent(math.sqrt(2)) == pytest.approx(1.0)
     assert theoretical_exponent(2.0) == pytest.approx(2.0)
-    with pytest.raises(ParameterError):
-        theoretical_exponent(0.0)
+    assert theoretical_exponent(np.float32(2.0)) == pytest.approx(2.0)
+    # refused with the documented error, not a TypeError from comparing with 0
+    for alpha in (0.0, -1.0, "1.5", None, 1.5 + 0j, float("nan")):
+        with pytest.raises(ParameterError, match="alpha must be a positive real number"):
+            theoretical_exponent(alpha)
 
 
 # -- cross-algorithm agreement ---------------------------------------------------

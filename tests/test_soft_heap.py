@@ -1,7 +1,9 @@
 import hashlib
 import random
 from collections import Counter
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from cartesian_topk import ContractViolation, ParameterError, SoftHeap
@@ -20,10 +22,17 @@ def test_epsilon_one_over_3m():
     assert len(h) == 0
 
 
-@pytest.mark.parametrize("eps", [0.5, 0.0, -0.1, 0.75])
+@pytest.mark.parametrize("eps", [0.5, 0.0, -0.1, 0.75, float("nan"), "0.25", None, 0.25j])
 def test_epsilon_open_interval(eps):
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="epsilon must be a real number"):
         SoftHeap(eps)
+
+
+@pytest.mark.parametrize("eps", [np.float32(0.25), np.float64(0.25), Fraction(1, 4)])
+def test_epsilon_any_real_type(eps):
+    # any real number type in (0, 1/2) is an epsilon, not only float and int
+    h = SoftHeap(eps)
+    assert h.epsilon == 0.25 and type(h.epsilon) is float
 
 
 def test_single_insert_extract():
@@ -122,6 +131,54 @@ def test_adversarial_interleavings_respect_bound():
                 assert h.corrupted_count <= eps * h.insert_count
             removed.extend(e[0] for e in h.drain())
             assert Counter(removed) == Counter(inserted)
+
+
+def _check_forest(h):
+    # each root sits under its own rank; below it keys are heap-ordered and
+    # ranks fall, no node holds an empty list or a right child without a
+    # left one, every item's key is at most its node's key, and the items
+    # in the forest and the pending list add up to len(h)
+    live = len(h._pending)
+    for root_rank, root in h._trees.items():
+        assert root[4] == root_rank
+        stack = [root]
+        while stack:
+            key, items, left, right, rank = stack.pop()
+            assert items
+            assert all(item[0] <= key for item in items)
+            live += len(items)
+            assert left is not None or right is None
+            for child in (left, right):
+                if child is not None:
+                    assert child[0] >= key and child[4] < rank
+                    stack.append(child)
+    assert live == len(h)
+
+
+@pytest.mark.parametrize("eps, seed, burst_steps, insert_p", [
+    (0.25, 1, 0, 0.3),
+    # 1,082 pending items settle in the first extraction, which car-pools at rank 10
+    (1 / 192, 2, 440, 0.1),
+])
+def test_forest_invariants_after_every_operation(eps, seed, burst_steps, insert_p):
+    # bursts of 1-4 inserts of integer keys 0-3 (inserts only, for the first
+    # burst_steps steps), interleaved with single extractions; then extract
+    # to empty
+    rng = random.Random(seed)
+    h = SoftHeap(eps)
+    for step in range(burst_steps + 1000):
+        if len(h) == 0 or step < burst_steps or rng.random() < insert_p:
+            for _ in range(rng.randint(1, 4)):
+                h.insert(float(rng.randint(0, 3)))
+                _check_forest(h)
+        else:
+            h.extract_min()
+            _check_forest(h)
+    while len(h):
+        h.extract_min()
+        _check_forest(h)
+    if eps == 0.25:
+        assert h.corrupted_count > 0  # the trace reaches the corrupting step
 
 
 def _tie_heavy_trace(eps, seed, steps):
