@@ -71,6 +71,9 @@ class BenchConfig:
             raise ParameterError(f"unknown distribution {self.distribution!r}")
         if self.distribution == "file" and not self.input_file:
             raise ParameterError("distribution 'file' requires --input-file")
+        if self.input_file and self.distribution != "file":
+            raise ParameterError(f"--input-file is read only with distribution 'file', "
+                                 f"not {self.distribution!r}")
         if self.k < 1:
             raise ParameterError(f"k must be positive, got {self.k}")
         if self.seed < 0:

@@ -80,6 +80,7 @@ def main(argv: list[str] | None = None) -> int:
             distribution=ns.distribution, input_file=ns.input_file, seed=ns.seed,
             replicates=ns.replicates, validate=ns.validate, stats=ns.stats,
             output=ns.output)
+        config.check()  # before any output is opened (truncated)
     except (_UsageError, ParameterError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

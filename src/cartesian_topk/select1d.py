@@ -2,7 +2,9 @@
 
 Each cut is one ``np.partition`` at ``k``, NumPy's introselect:
 deterministic and linear in the worst case, so every result and every
-counter built on it depends on the input alone.  ``select_k`` keeps the
+counter built on it depends on the input alone, under one NumPy SIMD
+dispatch: the kernel NumPy picks for the CPU fixes the order on each
+side of a cut, not its multiset.  ``select_k`` keeps the
 k smallest, and ``split_smallest`` keeps both sides;
 ``loh.select_k_loh`` meets the same contract through layer-ordered
 heaps.  ``AscendingPrefix`` sorts an array only as far as it is read,

@@ -21,8 +21,8 @@ node list, so equal index tuples give bit-identical floats across
 algorithms and the oracle, and outputs can be compared as exact
 multisets.  The tree selectors stack their nodes in that list's order;
 in the tensor selectors a child cell differs from its parent in one
-axis, so its sum re-adds only that leaf's path, at most ceil(log2 m)
-additions; a sort-tensor pop re-sums only that path of its parent's sums.
+axis, so its sum re-adds only that leaf's path, and so do the node sums
+it carries over from its parent: at most ceil(log2 m) additions each.
 """
 
 from __future__ import annotations
@@ -281,71 +281,67 @@ def brute_force_select(arrays: Sequence[Sequence[float]], k: int, *,
 # Soft heap over the m-dimensional index tensor
 # ---------------------------------------------------------------------------
 
-def _tensor_children(idx: tuple[int, ...], dims: Sequence[int]):
-    """Children of an index tuple as ``(axis, new index)`` pairs: each child
-    differs from ``idx`` in that one axis, and has exactly one proposer.
-
-    Last component above 1: advance only the last axis in heap order.
-    Otherwise every axis from the rightmost component above 1 onward
-    advances in heap order (the all-ones root advances every axis).
-    """
-    m = len(idx)
-    last = idx[-1]
-    if last > 1:
-        for c in (2 * last, 2 * last + 1):
-            if c <= dims[-1]:
-                yield m - 1, c
-        return
-    j = 0
-    for t in range(m - 2, -1, -1):
-        if idx[t] > 1:
-            j = t
-            break
-    for c in (2 * idx[j], 2 * idx[j] + 1):
-        if c <= dims[j]:
-            yield j, c
-    for t in range(j + 1, m):
-        for c in (2, 3):
-            if c <= dims[t]:
-                yield t, c
-
-
 def soft_tensor_select(arrays: Sequence[Sequence[float]], k: int, *,
                        stats: RunStats | None = None,
                        debug_checks: bool = False) -> SelectionResult:
-    """k smallest sums via one soft heap over the index tensor, keyed by cell
-    codes (``_strides``) that are decoded only when their items settle."""
+    """k smallest sums via one soft heap over the index tensor.
+
+    A cell that just set axis t to c has every later axis at 1, and is the
+    one proposer of (t, 2c), (t, 2c+1), and (u, 2), (u, 3) for each u > t,
+    where they exist; the root sets axis 0 to 1.  An item's payload is the
+    int ``(p * m + t) * span + c``, p being its proposer's settle number.
+    A settling cell keeps its node sums: its proposer's, with leaf t's path
+    re-summed (``_Tree.advanced``).  Only ``debug_checks`` computes cell
+    codes (``_strides``), to refuse a cell proposed twice.
+    """
     axes, k = _validated(arrays, k, stats)  # ascending, so each axis is already a binary heap
-    mats = [a.values for a in axes]
+    mats = [a.values for a in axes]  # min(16, n) values or more: (u, 2), (u, 3) never miss
     m = len(mats)
     dims = [a.n for a in axes]
+    span = max(dims) + 1
     tree = _Tree(m)
-    strides = _strides(dims)
+    advanced, child = tree.advanced, tree.child
+    table = [tree.partials([a[0] for a in mats])]  # node sums by settle number
 
     soft = SoftHeap(1.0 / (3 * m))
-    insert = soft.insert
-    seen = {0} if debug_checks else None
-    insert(tree.partials([a[0] for a in mats])[-1], 0)
+    soft.insert(table[0][-1], 1)  # the root sets axis 0 to 1, proposed by entry 0
+    insert, codes = soft.insert, None
+    if debug_checks:  # cell codes by settle number, to refuse a cell proposed twice
+        strides, codes, seen = _strides(dims), [0], {0}
 
-    def propose(code) -> None:
-        rest = code
-        cell = []
-        for s in strides:
-            i, rest = divmod(rest, s)
-            cell.append(i + 1)
-        idx = tuple(cell)
-        sums = tree.partials([mats[t][i - 1] for t, i in enumerate(idx)])
-        for t, c in _tensor_children(idx, dims):
-            child = code + (c - idx[t]) * strides[t]
-            if seen is not None:
-                if child in seen:
-                    raise AssertionError(f"cell {idx[:t] + (c,) + idx[t + 1:]} proposed twice")
-                seen.add(child)
-            try:
-                value = mats[t][c - 1]
-            except IndexError:  # heap children jump past the realized prefix
-                value = axes[t].reach(c)[c - 1]
-            insert(tree.child(sums, t, value), child)
+        def insert(key: float, payload: int) -> None:
+            c = payload % span
+            cell = codes[-1] + (c - c // 2) * strides[payload // span % m]  # [-1]: the proposer
+            if cell in seen:
+                raise AssertionError(f"cell code {cell} proposed twice")
+            seen.add(cell)
+            soft.insert(key, payload)
+
+    def propose(payload: int) -> None:
+        rest, c = divmod(payload, span)
+        p, t = divmod(rest, m)
+        sums = advanced(table[p], t, mats[t][c - 1])
+        if codes is not None:
+            codes.append(codes[p] + (c - c // 2) * strides[t] if p else 0)
+        base = len(table) * m  # this cell's settle number, times m
+        table.append(sums)
+        c *= 2
+        if c <= dims[t]:
+            col, key = mats[t], (base + t) * span + c
+            if c > len(col):  # heap children jump past the realized prefix
+                axes[t].reach(c)
+            insert(child(sums, t, col[c - 1]), key)
+            if c < dims[t]:
+                if c == len(col):
+                    axes[t].reach(c + 1)
+                insert(child(sums, t, col[c]), key + 1)
+        for u in range(t + 1, m):
+            n = dims[u]
+            if n > 1:
+                key = (base + u) * span
+                insert(child(sums, u, mats[u][1]), key + 2)
+                if n > 2:
+                    insert(child(sums, u, mats[u][2]), key + 3)
 
     pool: list = []
     pop_and_pool(soft, k, pool, propose)
@@ -387,7 +383,7 @@ def sort_tensor_select(arrays: Sequence[Sequence[float]], k: int, *,
     """k smallest sums in ascending order, with index tuples.
 
     A fringe of candidate cells grows from (1, ..., 1).  Each cell has one
-    proposer, as in ``_tensor_children``: a popped cell that advanced axis t
+    proposer, as in ``soft_tensor_select``: a popped cell that advanced axis t
     over its parent pushes its successors along axes t..m-1 only (the root
     counts as advancing axis 0).  Indices address the ascending order of
     each axis.  The fringe keys a cell by its code (``_strides``), so equal

@@ -209,6 +209,30 @@ def test_cli_usage_errors(capsys):
             cfg.check()
 
 
+def test_cli_input_file_needs_file_distribution(tmp_path, capsys, monkeypatch):
+    # an --input-file the run would not read is refused, not silently ignored;
+    # every configuration error is refused before the output is opened
+    def no_run(config):
+        raise AssertionError("run() started")
+    monkeypatch.setattr("cartesian_topk.cli.run", no_run)
+    src = tmp_path / "in.txt"
+    src.write_text("1 2\n3 4\n")
+    out = tmp_path / "rows.csv"
+    out.write_text("kept\n")
+    for args, needle in ((["--input-file", str(src), "--distribution", "uniform"], "--input-file"),
+                         (["--input-file", str(src), "--distribution", "exponential"], "--input-file"),
+                         (["--input-file", str(src)], "--input-file"),
+                         (["--k", "0"], "k must be positive")):
+        args = ["--algorithm", "sort-tree", "--m", "2", "--n", "2", "--k", "2", *args,
+                "--output", str(out)]
+        assert main(args) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("usage error:") and needle in err[0], err
+        assert out.read_text() == "kept\n"
+    with pytest.raises(ParameterError):
+        BenchConfig(input_file=str(src)).check()
+
+
 def test_cli_oversized_generation_is_usage_error(monkeypatch, capsys):
     # 10^10 x 10^10 float64 values fail NumPy's size check before any allocation
     args = ["--algorithm", "sort-tree", "--m", "10000000000", "--n", "10000000000", "--k", "1"]

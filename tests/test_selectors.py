@@ -687,6 +687,26 @@ def test_soft_tensor_insertion_accounting():
         assert stats.corrupted_count <= inserts / (3 * m)
 
 
+def test_soft_tensor_proposes_every_cell_once():
+    # every shape of m <= 6 axes of 1, 2 or 3 values, run to exhaustion: the
+    # proposer rule reaches each cell exactly once (an insert per cell), past
+    # axes of length 1 and 2 where a child falls off its axis
+    rng = random.Random(52)
+    for m in range(1, 7):
+        for lengths in itertools.product((1, 2, 3), repeat=m):
+            arrays = [[float(rng.randint(0, 2)) for _ in range(n)] for n in lengths]
+            cells = math.prod(lengths)
+            stats = RunStats()
+            r = soft_tensor_select(arrays, cells, stats=stats, debug_checks=True)
+            assert sorted(r.values) == brute_force_select(arrays, cells).values, lengths
+            assert stats.values_generated == cells, lengths
+    # m = 256: a payload's axis t runs to 255, and its proposer's settle
+    # number p to 512 and beyond
+    arrays = [[rng.random() for _ in range(2)] for _ in range(256)]
+    r = soft_tensor_select(arrays, 512, debug_checks=True)
+    assert sorted(r.values) == sort_tensor_select(arrays, 512).values
+
+
 def test_soft_heap_calls_reach_the_class_methods(monkeypatch):
     # counting wrappers on the SoftHeap class, as perfbench/layers.py
     # installs them, see every insert and extraction of the three soft-heap
@@ -1056,7 +1076,7 @@ def merge_advances_both_margins():
 
 
 def tensor_proposes_twice():
-    sel._tensor_children = lambda idx, dims: [(0, 2), (0, 2)] if idx == (1, 1) else []
+    sel._strides = lambda dims: [0] * len(dims)  # every cell gets code 0: two cells collide
     sel.soft_tensor_select([[1.0, 2.0], [1.0]], 2, debug_checks=True)
 
 
