@@ -13,7 +13,10 @@ demand.  The base takes the whole layer step and answers every query
 about the generated values, while ``LeafGenerator`` and
 ``pairwise.PairSumNode`` only make each layer's values
 (``_next_layer``).  A leaf slices each layer off an ``AscendingPrefix``,
-its axis realized in ascending order only as far as it is read.
+its axis realized in ascending order only as far as it is read, and a
+pair-sum node's layer is the ascending kept part of a
+``select1d.split_smallest`` cut, so every generator's values are
+ascending.
 """
 
 from __future__ import annotations
@@ -217,7 +220,7 @@ def verify_loh(heap: LayerOrderedHeap) -> bool:
 
 
 def select_k_loh(values: Sequence[float], k: int, alpha: float) -> list:
-    """select_k implemented through layer-ordered partitioning.
+    """select_k's multiset, unsorted, through layer-ordered partitioning.
 
     Layers are accumulated smallest-first until the running total reaches
     k; the layer that overshoots is itself layer-partitioned and the
@@ -264,32 +267,29 @@ class LohGenerator(LayerOrderedHeap):
     first, and ``schedule`` alone fixes every layer's size, so ``layer(i)``
     refuses a layer not generated yet.  A subclass supplies only how a
     layer's values are made: ``_next_layer(end)`` returns the values at
-    flat positions ``generated_count`` to ``end``, none below the values
-    already generated.  ``generate_next_layer`` takes the whole step,
-    appending that layer and recording its count and maximum, and does
+    flat positions ``generated_count`` to ``end`` in ascending order, none
+    below the values already generated.  ``generate_next_layer`` takes the
+    whole step, appending that layer and recording its count, and does
     nothing once ``has_more_layers()`` is false; a subclass constructor
     calls it once for the first layer.  Layers are immutable once
-    generated, and under layer order the newest layer's maximum is the
-    running maximum, so ``max_generated`` never decreases.
+    generated and ``values`` is ascending, so ``max_generated``, its last
+    value, never decreases.
     """
 
-    __slots__ = ("layer_count", "generated_count", "_max")
+    __slots__ = ("layer_count", "generated_count")
 
     def __init__(self, schedule: LayerSchedule):
         super().__init__([], schedule)
         self.layer_count = 0
         self.generated_count = 0
-        self._max = -math.inf  # maximum of the generated values
 
     def generate_next_layer(self) -> None:
         if self.generated_count == self.schedule.n:
             return
         end = self.schedule.total(self.layer_count + 1)
-        layer = self._next_layer(end)
-        self.values.extend(layer)
+        self.values.extend(self._next_layer(end))
         self.layer_count += 1
         self.generated_count = end
-        self._max = max(layer)
 
     def _next_layer(self, end: int) -> list:
         raise NotImplementedError
@@ -298,7 +298,7 @@ class LohGenerator(LayerOrderedHeap):
         return self.generated_count < self.schedule.n
 
     def max_generated(self) -> float:
-        return self._max
+        return self.values[-1]
 
     def size_of_last_layer(self) -> int:
         return self.schedule.size(self.layer_count)

@@ -1,22 +1,21 @@
 """One-dimensional k-selection primitives.
 
-Each cut is one ``np.partition`` at ``k``, NumPy's introselect:
-deterministic and linear in the worst case, so every result and every
-counter built on it depends on the input alone, under one NumPy SIMD
-dispatch: the kernel NumPy picks for the CPU fixes the order on each
-side of a cut, not its multiset.  ``select_k`` keeps the
-k smallest, and ``split_smallest`` keeps both sides;
-``loh.select_k_loh`` meets the same contract through layer-ordered
-heaps.  ``AscendingPrefix`` sorts an array only as far as it is read,
-one partition per growth; sort-tree's merges offer the same ``n``,
-``values`` and ``reach``, so a merge reads an axis or another merge
-alike.
+Each cut is one ``np.partition`` at ``k``, NumPy's introselect, followed
+by a sort of the k values it keeps, so the kept part comes back
+ascending.  The kept multiset is fixed by the input, and so is its
+ascending order, on any CPU: whichever SIMD kernel NumPy dispatched to
+fixes only the order of the rest, and of ``-0.0`` and ``0.0`` among
+themselves.  ``select_k`` keeps the k smallest, and ``split_smallest``
+keeps both sides; ``loh.select_k_loh`` selects the same multiset through
+layer-ordered heaps.  ``AscendingPrefix`` sorts an array only as far as
+it is read, one ``select_k`` per growth; sort-tree's merges offer the
+same ``n``, ``values`` and ``reach``, so a merge reads an axis or another
+merge alike.
 
 Values are compared and returned as the array NumPy builds from them,
-so a list mixing floats with ints past 2**53 may be compared after
-rounding to float64; every selector passes Python floats from
-``selectors._checked``.  Ties count at the multiset level: which of
-several equal values survives is unspecified.
+as Python scalars, so a list mixing floats with ints past 2**53 may be
+compared after rounding to float64; every selector passes Python floats
+from ``selectors._checked``.
 """
 
 from __future__ import annotations
@@ -29,23 +28,24 @@ from .errors import ContractViolation
 
 
 def split_smallest(values: Sequence[float], k: int) -> tuple[list, list]:
-    """Split a sequence into (k smallest, the rest) as fresh lists; for
-    0 < k < n one ``np.partition`` at k, else the input order is kept."""
+    """Split a sequence into (k smallest ascending, the rest) as fresh lists;
+    for 0 < k < n the rest is as one ``np.partition`` at k left it, else the
+    rest keeps the input order."""
     n = len(values)
     if k < 0 or k > n:
         raise ContractViolation(f"split point {k} outside [0, {n}]")
-    vals = np.partition(values, k).tolist() if 0 < k < n else list(values)
-    return vals[:k], vals[k:]
+    vals = np.partition(values, k) if 0 < k < n else np.array(values)
+    vals[:k].sort()
+    return vals[:k].tolist(), vals[k:].tolist()
 
 
 def select_k(values: Sequence[float], k: int) -> list:
-    """Return the k smallest values (by multiplicity, order unspecified);
-    one deterministic ``np.partition`` at k unless k == n, so equal
-    inputs give equal outputs."""
+    """Return the k smallest values (by multiplicity) in ascending order: one
+    ``np.partition`` at k unless k == n, then a sort of the kept part."""
     n = len(values)
     if k < 1 or k > n:
         raise ContractViolation(f"k={k} outside [1, {n}]")
-    return np.partition(values, k).tolist()[:k] if k < n else list(values)
+    return np.sort(np.partition(values, k)[:k] if k < n else values).tolist()
 
 
 class AscendingPrefix:
@@ -53,8 +53,7 @@ class AscendingPrefix:
     loops index ``values``, the smallest values of the float64 ``row`` (of
     length ``n``, read again on each growth, not copied) as Python floats,
     and call ``reach`` on a miss.  Sort-tree's merges offer the same
-    three names.  Equal values keep no order, so ``-0.0`` and ``0.0`` may
-    trade places."""
+    three names.  Only ``-0.0`` and ``0.0`` may trade places."""
 
     __slots__ = ("row", "values", "n")
 
@@ -69,7 +68,5 @@ class AscendingPrefix:
         have = len(self.values)
         if have < count and have < self.n:
             want = min(max(count, 2 * have), self.n)
-            block = np.partition(self.row, want - 1)[:want]
-            block.sort()
-            self.values.extend(block[have:].tolist())
+            self.values.extend(select_k(self.row, want)[have:])
         return self.values

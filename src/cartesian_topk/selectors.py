@@ -18,11 +18,13 @@ int, in ``_checked``; the selectors then read each axis as a lazily sorted
 Every algorithm and the oracle walk one balanced tree shape, ``_Tree``
 (left half = first ceil(m/2) axes), built once per call as a post-order
 node list, so equal index tuples give bit-identical floats across
-algorithms and the oracle, and outputs can be compared as exact
-multisets.  The tree selectors stack their nodes in that list's order;
-in the tensor selectors a child cell differs from its parent in one
-axis, so its sum re-adds only that leaf's path, and so do the node sums
-it carries over from its parent: at most ceil(log2 m) additions each.
+algorithms and the oracle.  All six return the k values ascending (each
+1-D cut sorts what it keeps), so outputs compare with ``==`` in returned
+order, on any CPU, up to the order of ``-0.0`` and ``0.0``.  The tree
+selectors stack their nodes in that list's order; in the tensor
+selectors a child cell differs from its parent in one axis, so its sum
+re-adds only that leaf's path, and so do the node sums it carries over
+from its parent: at most ceil(log2 m) additions each.
 """
 
 from __future__ import annotations
@@ -48,15 +50,15 @@ DEFAULT_ALPHA = 1.1
 
 @dataclass
 class SelectionResult:
-    """Selected values, ascending when ``sorted`` is True.
+    """Selected values, ascending for every selector and the oracle, in an
+    order the input alone fixes, up to the order of ``-0.0`` and ``0.0``.
 
     ``indices`` (when present) address the per-axis realized orderings
     documented by each selector: input order for the brute-force oracle,
-    ascending order for the sorted selectors.
+    ascending order for sort-tensor and sort-tree.
     """
 
     values: list[float]
-    sorted: bool
     indices: list[tuple[int, ...]] | None = None
 
 
@@ -90,7 +92,7 @@ class RunStats:
     - ``corrupted_count``: items a soft heap corrupted, summed over
       every soft heap of the run (soft-tensor's one heap, every pairwise
       selection of soft-tree, each fast-soft-tree node's one soft heap
-      over its lifetime); always 0 for the two sorted selectors.
+      over its lifetime); always 0 for sort-tensor and sort-tree.
     - ``fringe_peak``: the most candidates held at once.  soft-tensor
       and sort-tensor count their one heap; soft-tree and fast-soft-tree
       take the largest peak of any single soft heap (settled corrupted
@@ -250,7 +252,8 @@ def theoretical_exponent(alpha: float) -> float:
 
 def brute_force_select(arrays: Sequence[Sequence[float]], k: int, *,
                        guard: int = DEFAULT_GUARD) -> SelectionResult:
-    """Materialize every sum, sort, keep k; refuses above ``guard`` cells."""
+    """Materialize every sum, keep the k smallest ascending (of cells tied at
+    the k-th value, the lowest codes); refuses above ``guard`` cells."""
     axes, k = _checked(arrays, k)
     total = math.prod(len(a) for a in axes)
     if total > guard:
@@ -262,19 +265,18 @@ def brute_force_select(arrays: Sequence[Sequence[float]], k: int, *,
         node.append(np.add.outer(node[left], node[right]).ravel())
         cells.append(node[-1].size)
         node[left] = node[right] = None  # each child is read only here: free its array
-    flat = node[-1]
-    if k < total:
-        picked = np.argpartition(flat, k - 1)[:k]
-        picked = picked[np.argsort(flat[picked], kind="stable")]
-    else:
-        picked = np.argsort(flat, kind="stable")
+    flat = node[-1]  # indexed by cell code
+    kth = np.partition(flat, k - 1)[k - 1]
+    below = np.flatnonzero(flat < kth)
+    picked = np.concatenate((below, np.flatnonzero(flat == kth)[:k - below.size]))
+    picked = picked[np.argsort(flat[picked], kind="stable")]
     # a node's cell code is (left child's code) * (right child's cells) + right child's code
     code = [None] * (len(node) - 1) + [picked]
     for v in range(len(node) - 1, m - 1, -1):
         left, right = tree.ops[v - m]
         code[left], code[right] = np.divmod(code[v], cells[right])
     indices = list(zip(*((c + 1).tolist() for c in code[:m])))
-    return SelectionResult(values=flat[picked].tolist(), sorted=True, indices=indices)
+    return SelectionResult(values=flat[picked].tolist(), indices=indices)
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +351,7 @@ def soft_tensor_select(arrays: Sequence[Sequence[float]], k: int, *,
         stats.values_generated += soft.insert_count
         stats.corrupted_count += soft.corrupted_count
         stats.fringe_peak = max(stats.fringe_peak, soft.peak_size)
-    return SelectionResult(values=select_k(pool, k), sorted=False)
+    return SelectionResult(values=select_k(pool, k))
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +373,7 @@ def soft_tree_select(arrays: Sequence[Sequence[float]], k: int, *,
         outs.append(soft_select_pairwise(outs[left], outs[right], want, stats=stats))
     if stats is not None:
         stats.values_generated += sum(len(out) for out in outs)
-    return SelectionResult(values=outs[-1], sorted=False)
+    return SelectionResult(values=outs[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +436,7 @@ def sort_tensor_select(arrays: Sequence[Sequence[float]], k: int, *,
     if stats is not None:
         stats.values_generated += pushes
         stats.fringe_peak = max(stats.fringe_peak, peak)
-    return SelectionResult(values=values, sorted=True, indices=indices)
+    return SelectionResult(values=values, indices=indices)
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +544,7 @@ def sort_tree_select(arrays: Sequence[Sequence[float]], k: int, *,
         stats.pops_per_level = {d: sum(c) / len(c) for d, c in tree.levels(pops).items()}
         stats.values_generated += sum(pops)
         stats.fringe_peak = max(stats.fringe_peak, gauge.peak)
-    return SelectionResult(values=values, sorted=True, indices=indices)
+    return SelectionResult(values=values, indices=indices)
 
 
 # ---------------------------------------------------------------------------
@@ -579,7 +581,7 @@ def fast_soft_tree_select(arrays: Sequence[Sequence[float]], k: int, *,
             stats.corrupted_count += n.soft_heap.corrupted_count
             stats.fringe_peak = max(stats.fringe_peak, n.soft_heap.peak_size)
         stats.values_generated += sum(stats.generated_per_level.values())
-    return SelectionResult(values=select_k(root.values, k), sorted=False)
+    return SelectionResult(values=select_k(root.values, k))
 
 
 SELECTORS = {"soft-tensor": soft_tensor_select, "soft-tree": soft_tree_select,

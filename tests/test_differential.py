@@ -12,8 +12,9 @@ the ``2d-ndarray`` container passes them as one float64 2-D ndarray and
 has only this stream.
 
 On every case all five selectors must return the oracle's values with
-``==``, as Python floats; the oracle's indices must be in range, distinct,
-and map back to its values through the input-order axes; sort-tensor and
+``==`` in their returned order, ascending, as Python floats; the oracle's
+indices must be in range, distinct, and map back to its values through
+the input-order axes; sort-tensor and
 sort-tree indices must be distinct and map back to their values through
 the ascending axes; sort-tree's ``pops_per_level`` must equal criterion
 8's NumPy reference and, where m is a power of two (every depth full),
@@ -27,15 +28,26 @@ stay within eps times its inserts; and the caller's inputs must be left
 as they were.  The first cases of one container also run in a child
 interpreter under ``python -O``.
 
+A third stream per container, the wide one, goes past the oracle's reach:
+m up to 256 axes of 1 to 256 values and k up to 1,024, on the same value
+kinds and containers.  There every selector must return, in its returned
+order and with ``==``, the values of ``perfbench/reference.py``'s
+``smallest_sums``, an exact reference that shares no code with the
+selectors, and a second call of each must repeat its values and every
+``RunStats`` field.
+
 Run as a script, it sweeps more cases than tier-1 without pytest:
 
     PYTHONPATH=src python tests/test_differential.py --cases 1000 --seed 1
 
-checks ``--cases`` cases of every container in each stream; seed 0
+checks ``--cases`` cases of every container in each of the first two
+streams and ``--wide-cases`` (20 by default) in the wide one; seed 0
 draws tier-1's cases.
 """
 
 import argparse
+import importlib.util
+import math
 import os
 import random
 import subprocess
@@ -57,6 +69,16 @@ MAX_CELLS = 300
 CASES_PER_CONTAINER = 100
 EQUAL_LENGTH_CASES = 50
 OPTIMIZED_CASES = 50
+WIDE_MAX_M, WIDE_MAX_N, WIDE_MAX_K = 256, 256, 1024
+WIDE_CASES = 4  # per container in tier-1; the script's --wide-cases runs more
+
+# The wide stream's reference: exact, and sharing no code with the selectors.
+_spec = importlib.util.spec_from_file_location(
+    "perfbench_reference",
+    os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                 "perfbench", "reference.py"))
+reference = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(reference)
 
 
 def _axis(rng, kind, n, container):
@@ -103,6 +125,36 @@ def make_case(rng, container, equal_length=False):
     return arrays, k, rng.choice(ALPHAS), kind
 
 
+def _log_uniform(rng, top):
+    # an int in [1, top], each doubling about as likely as the next
+    return min(top, int(2 ** rng.uniform(0, math.log2(top + 1))))
+
+
+def make_wide_case(rng, container):
+    """One (arrays, k, alpha, kind) case past the oracle's reach: m up to
+    WIDE_MAX_M axes of 1 to WIDE_MAX_N values (equal lengths for a 2-D
+    ndarray), each count drawn log-uniformly, and k = 1, k = min(cells,
+    WIDE_MAX_K) or a log-uniform k between them."""
+    m = _log_uniform(rng, WIDE_MAX_M)
+    n = _log_uniform(rng, WIDE_MAX_N)
+    lengths = [n if container == "2d-ndarray" else _log_uniform(rng, WIDE_MAX_N)
+               for _ in range(m)]
+    kind = rng.choice(EQUAL_LENGTH_KINDS)
+    arrays = [_axis(rng, kind, n, container) for n in lengths]
+    if container == "2d-ndarray":
+        arrays = np.array(arrays, dtype=np.float64)
+    top = min(math.prod(lengths), WIDE_MAX_K)
+    k = rng.choice((1, top, _log_uniform(rng, top)))
+    return arrays, k, rng.choice(ALPHAS), kind
+
+
+def _check_values(got, expected, where):
+    # in returned order, ascending, as Python floats
+    assert got == expected, where
+    assert all(x <= y for x, y in zip(got, got[1:])), where
+    assert all(type(v) is float for v in got), where
+
+
 def _balanced_sum(vals):
     # the canonical grouping: left half = first ceil(m/2) axes
     if len(vals) == 1:
@@ -141,9 +193,7 @@ def _check_cases(container, cases, seed=0, equal_length=False):
         stats = {name: RunStats() for name in SELECTORS}
         results = {name: call(name, stats[name]) for name in SELECTORS}
         for name, result in results.items():
-            got = result.values if result.sorted else sorted(result.values)
-            assert got == expected, (name, where)
-            assert all(type(v) is float for v in got), (name, where)
+            _check_values(result.values, expected, (name, where))
         # every registered selector was checked, and every keyword reached one
         assert results.keys() == SELECTORS.keys() >= keywords.keys(), where
         for name in ("sort-tensor", "sort-tree"):
@@ -175,6 +225,30 @@ def _check_cases(container, cases, seed=0, equal_length=False):
         assert type(arrays) is type(before), where
         for a, b in zip(arrays, before):
             assert type(a) is type(b) and np.array_equal(a, b), where
+
+
+def _check_wide_cases(container, cases, seed=0):
+    # every selector against perfbench's reference in returned order, and a
+    # second call of each must repeat its values and every RunStats field
+    rng = random.Random(CONTAINERS.index(container) + len(CONTAINERS) * seed + 2 * 10**6)
+    for case in range(cases):
+        arrays, k, alpha, kind = make_wide_case(rng, container)
+        where = (container, "wide", seed, case, kind, [len(a) for a in arrays], k, alpha)
+        before = _snapshot(arrays)
+        expected = reference.smallest_sums(arrays, k).tolist()
+        keywords = {"soft-tensor": {"debug_checks": True}, "fast-soft-tree": {"alpha": alpha}}
+        for name, select in SELECTORS.items():
+            stats = [RunStats(), RunStats()]
+            got = [select(arrays, k, stats=s, **keywords.get(name, {})).values for s in stats]
+            _check_values(got[0], expected, (name, where))
+            assert got[1] == got[0] and stats[1] == stats[0], (name, where)
+        for a, b in zip(arrays, before):
+            assert np.array_equal(a, b), where
+
+
+@pytest.mark.parametrize("container", CONTAINERS)
+def test_wide_stream_matches_reference(container):
+    _check_wide_cases(container, WIDE_CASES)
 
 
 @pytest.mark.parametrize("container", CONTAINERS[:-1])
@@ -212,19 +286,22 @@ def main(argv=None):
                                                  "on seeded cases of every input container.")
     parser.add_argument("--cases", type=int, default=CASES_PER_CONTAINER,
                         help="cases per container")
+    parser.add_argument("--wide-cases", type=int, default=20,
+                        help="cases per container of the wide stream")
     parser.add_argument("--seed", type=int, default=0, help="0 draws tier-1's cases")
     args = parser.parse_args(argv)
     if not __debug__:
         parser.error("the checks are assert statements, which python -O strips")
-    if args.cases < 0 or args.seed < 0:
-        parser.error("--cases and --seed must be non-negative")
+    if min(args.cases, args.wide_cases, args.seed) < 0:
+        parser.error("--cases, --wide-cases and --seed must be non-negative")
     for container in CONTAINERS:
         start = time.perf_counter()
         uneven = 0 if container == "2d-ndarray" else args.cases
         _check_cases(container, uneven, args.seed)
         _check_cases(container, args.cases, args.seed, equal_length=True)
-        print(f"{container}: {uneven} uneven and {args.cases} equal-length cases passed "
-              f"in {time.perf_counter() - start:.1f} s")
+        _check_wide_cases(container, args.wide_cases, args.seed)
+        print(f"{container}: {uneven} uneven, {args.cases} equal-length and "
+              f"{args.wide_cases} wide cases passed in {time.perf_counter() - start:.1f} s")
     return 0
 
 

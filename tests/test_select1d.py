@@ -14,7 +14,7 @@ def test_singleton():
 
 def test_two_of_three():
     # sort-based oracle: sorted([5,1,3])[:2] == [1,3]
-    assert sorted(select_k([5, 1, 3], 2)) == [1, 3]
+    assert select_k([5, 1, 3], 2) == [1, 3]
 
 
 def test_k_equals_n_returns_all():
@@ -37,7 +37,7 @@ def test_matches_sort_oracle():
         n = rng.randint(1, 400)
         vals = [rng.choice([rng.random(), 0.5, 0.25]) for _ in range(n)]
         k = rng.randint(1, n)
-        assert sorted(select_k(vals, k)) == sorted(vals)[:k]
+        assert select_k(vals, k) == sorted(vals)[:k]
 
 
 def test_permutation_invariant():
@@ -64,33 +64,46 @@ def test_partition_correctness():
 def test_median_of_medians_fallback_on_adversarial_input():
     # Constant and staircase inputs: all-equal and heavily tied segments.
     for vals in ([1.0] * 5000, [float(i % 7) for i in range(5000)]):
-        assert sorted(select_k(vals, 1234)) == sorted(vals)[:1234]
+        assert select_k(vals, 1234) == sorted(vals)[:1234]
 
 
 def test_split_smallest_partitions_exactly():
     vals = [5.0, 1.0, 4.0, 1.0, 3.0]
     low, high = split_smallest(vals, 2)
-    assert sorted(low) == [1.0, 1.0]
+    assert low == [1.0, 1.0]
     assert Counter(low + high) == Counter(vals)
-    # The cut's order fixes which value sits at each flat position of a
-    # pair-sum node's layer, hence every proposal and golden counter: it is
-    # np.partition at k, or the input order when k is 0 or n.  Floats are
-    # compared by hex, so -0.0 and 0.0 count as different.
+    # Every cut returns its kept part ascending, so the input alone fixes it
+    # on any CPU, up to the order of -0.0 and 0.0: floats are compared by hex
+    # after mapping -0.0 to 0.0.  The rest is the kept part's complement as a
+    # multiset, in whatever order the partition left it; at k = 0 it keeps
+    # the input order.
+    def hexes(xs):
+        return [(x + 0.0).hex() for x in xs]
+
     rng = random.Random(11)
     ties = [float(rng.randint(0, 3)) for _ in range(300)]  # long enough for introselect
     zeros = [0.0, -0.0, 1.0, -0.0, -1.0, 0.0, -0.0, 0.0, -1.0]
     for vals in (ties, zeros, [rng.choice((-0.0, 0.0, 2.0)) for _ in range(300)]):
         n = len(vals)
+        ascending = hexes(sorted(vals))
         for k in range(1, n):
-            p = [x.hex() for x in np.partition(vals, k).tolist()]
             low, high = split_smallest(vals, k)
-            assert ([x.hex() for x in low], [x.hex() for x in high]) == (p[:k], p[k:])
-            assert [x.hex() for x in select_k(vals, k)] == p[:k]
-        same = [x.hex() for x in vals]
-        for low, high in (split_smallest(vals, 0), split_smallest(vals, n)):
-            assert [x.hex() for x in low + high] == same
-            assert low is not vals and high is not vals
-        assert [x.hex() for x in select_k(vals, n)] == same
+            assert hexes(low) == ascending[:k]
+            assert Counter(hexes(high)) == Counter(ascending[k:])
+            assert hexes(select_k(vals, k)) == ascending[:k]
+        low, high = split_smallest(vals, 0)
+        assert low == [] and [x.hex() for x in high] == [x.hex() for x in vals]
+        assert high is not vals
+        low, high = split_smallest(vals, n)
+        assert hexes(low) == ascending and high == [] and low is not vals
+        assert hexes(select_k(vals, n)) == ascending
+    # Python floats at every k, from an ndarray too
+    arr = np.array([3.0, 1.0, 2.0])
+    assert select_k(arr, 3) == [1.0, 2.0, 3.0]
+    for k in range(4):
+        low, high = split_smallest(arr, k)
+        assert all(type(v) is float for v in low + high), k
+        assert k == 0 or all(type(v) is float for v in select_k(arr, k)), k
 
 
 def test_ascending_prefix_grows_on_demand():

@@ -35,12 +35,11 @@ KEYWORDS = {"soft-tensor": {"debug_checks": True}, "sort-tree": {"want_indices":
 
 
 def values(name, arrays, k):
-    """Values of the registered selector ``name`` called with ``KEYWORDS``, in
-    ascending order (a sorted selector's own), or the oracle's for "brute-force"."""
+    """Values, in returned order, of the registered selector ``name`` called
+    with ``KEYWORDS``, or the oracle's for "brute-force"."""
     if name == "brute-force":
         return brute_force_select(arrays, k).values
-    result = SELECTORS[name](arrays, k, **KEYWORDS.get(name, {}))
-    return result.values if result.sorted else sorted(result.values)
+    return SELECTORS[name](arrays, k, **KEYWORDS.get(name, {})).values
 
 
 # -- brute force oracle --------------------------------------------------------
@@ -48,7 +47,7 @@ def values(name, arrays, k):
 def test_brute_two_by_two():
     r = brute_force_select([[1, 2], [3, 4]], 2)
     assert r.values == [4, 5]
-    assert r.sorted
+    assert r.indices == [(1, 1), (1, 2)]
 
 
 def test_brute_all_zero():
@@ -92,14 +91,34 @@ def check_oracle_indices(arrays, result, where=None):
 
 @pytest.mark.parametrize("lengths,k", [
     ([7], 4),                   # m=1: the decode has no internal node
-    ([3, 1, 4, 2, 5], 57),      # uneven lengths, k < cells (the argpartition branch)
-    ([2, 3, 2, 1, 3], 36),      # k == cells (the argsort branch)
+    ([3, 1, 4, 2, 5], 57),      # uneven lengths, k < cells: cells past the k-th value dropped
+    ([2, 3, 2, 1, 3], 36),      # k == cells: every cell kept
 ])
 def test_brute_indices_decode_to_input_order(lengths, k):
     # distinct floats, so a wrong index cannot resum to an equal value
     rng = random.Random(43)
     arrays = [[rng.random() for _ in range(n)] for n in lengths]
     check_oracle_indices(arrays, brute_force_select(arrays, k))
+
+
+def test_brute_breaks_ties_by_lowest_cell_code():
+    # of the cells tied at the k-th value the oracle keeps those of lowest
+    # code, and it orders the kept cells by (value, code): a pure-Python
+    # reference sorts every cell by that key.  Index tuples in lexicographic
+    # order are codes in ascending order, and -0.0 == 0.0 ties too.
+    rng = random.Random(53)
+    for lengths in ([3, 4, 2], [5, 5], [2, 3, 2, 3], [7], [4, 1, 3, 2, 2]):
+        for draw in (lambda: float(rng.randint(0, 2)), lambda: rng.choice((-0.0, 0.0, 1.0))):
+            arrays = [[draw() for _ in range(n)] for n in lengths]
+            cells = sorted((balanced_sum([a[i - 1] for a, i in zip(arrays, idx)]), idx)
+                           for idx in itertools.product(*(range(1, n + 1) for n in lengths)))
+            ties = 0
+            for k in range(1, len(cells) + 1):  # k == cells included
+                r = brute_force_select(arrays, k)
+                assert r.indices == [idx for _, idx in cells[:k]], (lengths, k)
+                assert [v.hex() for v in r.values] == [v.hex() for v, _ in cells[:k]], (lengths, k)
+                ties += k < len(cells) and cells[k][0] == cells[k - 1][0]
+            assert ties, lengths  # some k cut through a run of equal values
 
 
 def test_brute_frees_node_arrays_once_summed():
@@ -302,7 +321,7 @@ def test_fast_alpha_validation():
         with pytest.raises(ParameterError, match="alpha must be a real number"):
             fast_soft_tree_select([[1, 2], [3, 4]], 2, alpha=alpha)
     got = fast_soft_tree_select([[1, 2], [3, 4]], 2, alpha=np.float32(1.5))
-    assert sorted(got.values) == [4.0, 5.0]
+    assert got.values == [4.0, 5.0]
 
 
 def test_one_calling_convention():
@@ -337,7 +356,7 @@ def test_one_calling_convention():
 # -- frozen examples -----------------------------------------------------------
 
 def test_soft_tensor_pairwise_case():
-    assert sorted(soft_tensor_select([[1, 2], [3, 4]], 3).values) == [4, 5, 5]
+    assert soft_tensor_select([[1, 2], [3, 4]], 3).values == [4, 5, 5]
 
 
 def test_soft_tensor_all_zero():
@@ -348,12 +367,12 @@ def test_soft_tensor_all_zero():
 
 
 def test_soft_tree_single_axis():
-    assert sorted(soft_tree_select([[4, 2, 9]], 2).values) == [2, 4]
+    assert soft_tree_select([[4, 2, 9]], 2).values == [2, 4]
 
 
 def test_soft_tree_four_identical_axes():
     # 16 sums of [1,2]^4: minimum 4, then four 5s
-    assert sorted(soft_tree_select([[1, 2]] * 4, 3).values) == [4, 5, 5]
+    assert soft_tree_select([[1, 2]] * 4, 3).values == [4, 5, 5]
 
 
 def test_sort_tensor_example():
@@ -378,7 +397,7 @@ def test_sort_tree_singleton_axes():
 
 
 def test_fast_example():
-    assert sorted(fast_soft_tree_select([[1, 2], [1, 2]], 2, alpha=1.5).values) == [2, 3]
+    assert fast_soft_tree_select([[1, 2], [1, 2]], 2, alpha=1.5).values == [2, 3]
 
 
 def test_fast_all_zero():
@@ -422,14 +441,14 @@ def test_agreement_medium_m_cross_checked():
         arrays = [row.tolist() for row in rng.random((8, 8))]
         expected = sort_tensor_select(arrays, 64).values
         assert sort_tree_select(arrays, 64).values == expected
-        assert sorted(soft_tree_select(arrays, 64).values) == expected
-        assert sorted(fast_soft_tree_select(arrays, 64, alpha=1.1).values) == expected
+        assert soft_tree_select(arrays, 64).values == expected
+        assert fast_soft_tree_select(arrays, 64, alpha=1.1).values == expected
 
     for seed in range(5):
         arrays = [row.tolist() for row in rng.random((16, 8))]
         expected = sort_tensor_select(arrays, 100).values
         assert sort_tree_select(arrays, 100, want_indices=True).values == expected
-        assert sorted(soft_tree_select(arrays, 100).values) == expected
+        assert soft_tree_select(arrays, 100).values == expected
 
 
 def test_agreement_deep_m_cross_checked():
@@ -437,8 +456,8 @@ def test_agreement_deep_m_cross_checked():
     arrays = [row.tolist() for row in rng.random((64, 3))]
     expected = sort_tensor_select(arrays, 200).values
     assert sort_tree_select(arrays, 200).values == expected
-    assert sorted(soft_tree_select(arrays, 200).values) == expected
-    assert sorted(fast_soft_tree_select(arrays, 200, alpha=1.05).values) == expected
+    assert soft_tree_select(arrays, 200).values == expected
+    assert fast_soft_tree_select(arrays, 200, alpha=1.05).values == expected
 
 
 def test_fast_beyond_float_range():
@@ -446,7 +465,7 @@ def test_fast_beyond_float_range():
     rng = np.random.Generator(np.random.PCG64(14))
     arrays = [row.tolist() for row in rng.random((256, 64))]
     expected = sort_tree_select(arrays, 1024).values
-    assert sorted(fast_soft_tree_select(arrays, 1024, alpha=1.1).values) == expected
+    assert fast_soft_tree_select(arrays, 1024, alpha=1.1).values == expected
 
 
 @pytest.mark.parametrize("name", ["brute-force", *SELECTORS])
@@ -468,8 +487,8 @@ def test_fast_leaf_level_generation_bound():
         rng = np.random.Generator(np.random.PCG64(seed))
         arrays = [row.tolist() for row in rng.random((8, 16))]
         stats = RunStats()
-        got = sorted(fast_soft_tree_select(arrays, 128, alpha=1.1, stats=stats).values)
-        assert got == sorted(soft_tree_select(arrays, 128).values)
+        got = fast_soft_tree_select(arrays, 128, alpha=1.1, stats=stats).values
+        assert got == soft_tree_select(arrays, 128).values
         assert stats.generated_per_level[max(stats.generated_per_level)] <= bound
 
 
@@ -486,7 +505,7 @@ def test_fast_leaves_do_not_partition_whole_arrays(monkeypatch):
     monkeypatch.setattr(loh, "split_at", refuse)
     arrays = generate_inputs("exponential", 64, 1024, seed=1)
     stats = RunStats()
-    got = sorted(fast_soft_tree_select(arrays, 512, alpha=1.1, stats=stats).values)
+    got = fast_soft_tree_select(arrays, 512, alpha=1.1, stats=stats).values
     assert got == sort_tree_select(arrays, 512).values
     assert stats.generated_per_level[6] < 0.02 * 64 * 1024
 
@@ -506,25 +525,19 @@ def test_agreement_duplicate_heavy():
 
 # -- sorted output, indices, invariants -----------------------------------------
 
-def test_sorted_flags():
-    arrays = [[3.0, 1.0], [2.0, 5.0]]
-    assert sort_tensor_select(arrays, 3).sorted
-    assert sort_tree_select(arrays, 3).sorted
-    assert not soft_tensor_select(arrays, 3).sorted
-    assert not soft_tree_select(arrays, 3).sorted
-    assert not fast_soft_tree_select(arrays, 3, alpha=1.5).sorted
-
-
 def test_sorted_outputs_nondecreasing():
+    # every selector and the oracle, k == cells included, where a cut keeps
+    # everything without a partition
     rng = random.Random(44)
     for _ in range(50):
         m = rng.randint(1, 5)
-        arrays = [[rng.random() for _ in range(rng.randint(1, 6))] for _ in range(m)]
+        arrays = [[rng.choice((rng.random(), float(rng.randint(-2, 2))))
+                   for _ in range(rng.randint(1, 6))] for _ in range(m)]
         total = math.prod(len(a) for a in arrays)
-        k = rng.randint(1, min(total, 30))
-        for values in (sort_tensor_select(arrays, k).values,
-                       sort_tree_select(arrays, k).values):
-            assert all(x <= y for x, y in zip(values, values[1:]))
+        for k in {rng.randint(1, min(total, 30)), total}:
+            for name in ["brute-force", *SELECTORS]:
+                got = values(name, arrays, k)
+                assert all(x <= y for x, y in zip(got, got[1:])), (name, arrays, k)
 
 
 def test_sort_indices_resum_through_sorted_axes():
@@ -555,7 +568,7 @@ def test_tensor_selectors_resum_at_wide_m(m):
         for value, idx in zip(r.values, r.indices):
             assert value == balanced_sum([ordered[t][i - 1] for t, i in enumerate(idx)])
         assert r.values == sort_tree_select(arrays, k).values
-        assert sorted(soft_tensor_select(arrays, k, debug_checks=True).values) == r.values
+        assert soft_tensor_select(arrays, k, debug_checks=True).values == r.values
 
 
 @pytest.mark.parametrize("m", [5, 7])
@@ -627,7 +640,7 @@ def test_sort_tensor_at_m256(make):
     ordered = [sorted(a) for a in arrays]
     r = sort_tensor_select(arrays, 40)
     assert r.values == sort_tree_select(arrays, 40).values
-    assert sorted(soft_tensor_select(arrays, 40, debug_checks=True).values) == r.values
+    assert soft_tensor_select(arrays, 40, debug_checks=True).values == r.values
     for value, idx in zip(r.values, r.indices):
         assert value == balanced_sum([ordered[t][i - 1] for t, i in enumerate(idx)])
 
@@ -698,13 +711,13 @@ def test_soft_tensor_proposes_every_cell_once():
             cells = math.prod(lengths)
             stats = RunStats()
             r = soft_tensor_select(arrays, cells, stats=stats, debug_checks=True)
-            assert sorted(r.values) == brute_force_select(arrays, cells).values, lengths
+            assert r.values == brute_force_select(arrays, cells).values, lengths
             assert stats.values_generated == cells, lengths
     # m = 256: a payload's axis t runs to 255, and its proposer's settle
     # number p to 512 and beyond
     arrays = [[rng.random() for _ in range(2)] for _ in range(256)]
     r = soft_tensor_select(arrays, 512, debug_checks=True)
-    assert sorted(r.values) == sort_tensor_select(arrays, 512).values
+    assert r.values == sort_tensor_select(arrays, 512).values
 
 
 def test_soft_heap_calls_reach_the_class_methods(monkeypatch):
@@ -833,7 +846,7 @@ def test_golden_run_stats(case, name):
     arrays, k = _golden_inputs()[case]
     stats = RunStats()
     result = SELECTORS[name](arrays, k, stats=stats)  # defaults: fast-soft-tree at alpha 1.1
-    assert sorted(result.values) == brute_force_select(arrays, k).values
+    assert result.values == brute_force_select(arrays, k).values
     got = (stats.pops_per_level, stats.generated_per_level, stats.values_generated,
            stats.corrupted_count, stats.fringe_peak)
     assert got == _GOLDEN_STATS[case, name]
@@ -876,12 +889,13 @@ def test_golden_sorted_pop_order(name, kind):
 
 
 # sha256 of soft-tensor's values in their returned order and every RunStats
-# field, recorded while soft-heap payloads were still index tuples: the
-# returned order is select_k over the pool, so it pins the settle order
+# field, recorded while soft-heap payloads were still index tuples; distinct
+# and paper-m64 were re-recorded, with every counter unchanged, when each 1-D
+# cut began to sort what it keeps, so the returned order became ascending
 _SOFT_TENSOR_SETTLE_DIGESTS = {
-    "distinct": "c33f56279ff8fdba7e60c9fc2890431f8c868fccdef57f2f799e4d31ab54d85d",
+    "distinct": "f3cef4f3bfde19fcb77bf00d86aba6e6f8c91f2531d0b93e0640f157a617fc39",
     "ties": "6c0b569aa0b0578d75e05d7209e2a7df0803914587a56c436a9ed9b8e1aeb88d",
-    "paper-m64": "d94940e09d1af9d3bcdd4bee8eb4e299709ce91f01f684935d9b58349a8ebfb0",
+    "paper-m64": "7f0a268dee9cd4bace58569f38c1d362fc66ac08b5f458e6a37df91f20a1c1c3",
 }
 
 
