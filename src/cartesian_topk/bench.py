@@ -24,6 +24,7 @@ from .loh import LayerSchedule
 from .selectors import (DEFAULT_ALPHA, DEFAULT_GUARD, SELECTORS, RunStats, SelectionResult,
                         brute_force_select)
 
+ALGORITHMS = (*SELECTORS, "brute-force")
 DISTRIBUTIONS = ("uniform", "exponential", "file")
 GUARD_ENV_VAR = "CARTESIAN_TOPK_GUARD"
 
@@ -56,16 +57,10 @@ class BenchConfig:
     replicates: int = 1
     validate: bool = False
     stats: bool = False
-    output: str | None = None
     guard: int = field(default_factory=resolve_guard)
 
-    def algorithm_list(self) -> list[str]:
-        if self.algorithm == "all":
-            return [*SELECTORS, "brute-force"]
-        return [self.algorithm]
-
     def check(self) -> None:
-        if self.algorithm not in (*SELECTORS, "brute-force", "all"):
+        if self.algorithm not in (*ALGORITHMS, "all"):
             raise ParameterError(f"unknown algorithm {self.algorithm!r}")
         if self.distribution not in DISTRIBUTIONS:
             raise ParameterError(f"unknown distribution {self.distribution!r}")
@@ -127,19 +122,26 @@ def ingest_file(path: str) -> list[list[float]]:
     return arrays
 
 
+_BASE_COLUMNS = ("algorithm", "m", "n", "k", "alpha", "distribution", "seed",
+                 "replicate", "wall_time_ns", "validated", "values_generated",
+                 "corrupted_count", "fringe_peak")
+
+
 @dataclass
 class BenchReport:
     rows: list[dict]
     violations: list[str]
-    max_level: int
 
 
 def run(config: BenchConfig) -> BenchReport:
-    """Execute the configured benchmark; one row per (algorithm, replicate)."""
+    """Execute the configured benchmark; one row per (algorithm, replicate).
+
+    Every algorithm of a replicate is timed before any is validated.  The
+    brute-force row, when there is one, is the oracle for the others, so
+    the oracle runs at most once per replicate.
+    """
     config.check()
-    rows: list[dict] = []
-    violations: list[str] = []
-    max_level = -1
+    report = BenchReport(rows=[], violations=[])
     # A file is read once; every replicate runs on the same arrays.
     arrays = ingest_file(config.input_file) if config.distribution == "file" else None
 
@@ -150,16 +152,12 @@ def run(config: BenchConfig) -> BenchReport:
         total = math.prod(len(a) for a in arrays)
         if config.k > total:
             raise ParameterError(f"k={config.k} exceeds the {total} tensor cells")
+        feasible = total <= config.guard  # else the oracle would raise GuardError
+        algorithms = (config.algorithm,)
+        if config.algorithm == "all":  # with the oracle row only where the guard admits it
+            algorithms = ALGORITHMS if feasible else tuple(SELECTORS)
 
-        oracle: SelectionResult | None = None
-        validating = config.validate and total <= config.guard
-        if validating:
-            oracle = brute_force_select(arrays, config.k, guard=config.guard)
-
-        algorithms = config.algorithm_list()
-        if config.algorithm == "all" and total > config.guard:
-            algorithms.remove("brute-force")  # oracle row infeasible at this size
-
+        results: dict[str, SelectionResult] = {}
         for algorithm in algorithms:
             stats = RunStats()
             keywords = {"alpha": config.alpha} if algorithm == "fast-soft-tree" else {}
@@ -169,46 +167,28 @@ def run(config: BenchConfig) -> BenchReport:
             else:  # looked up per call, so a patched registry entry is what runs
                 result = SELECTORS[algorithm](arrays, config.k, stats=stats, **keywords)
             wall = time.perf_counter_ns() - start
-
-            if config.validate and not validating:
-                verdict = "skipped"
-            elif validating:
-                ok = sorted(result.values) == oracle.values
-                verdict = "ok" if ok else "fail"
-                if not ok:
-                    violations.append(
-                        f"{algorithm} disagrees with brute force "
-                        f"(m={len(arrays)}, k={config.k}, seed={rep_seed})")
-            else:
-                verdict = ""
-
-            row = {
-                "algorithm": algorithm,
-                "m": len(arrays),
-                "n": max(len(a) for a in arrays),
-                "k": config.k,
-                "alpha": config.alpha,
-                "distribution": config.distribution,
-                "seed": rep_seed,
-                "replicate": rep,
-                "wall_time_ns": wall,
-                "validated": verdict,
-                "values_generated": stats.values_generated,
-                "corrupted_count": stats.corrupted_count,
-                "fringe_peak": stats.fringe_peak,
-            }
+            results[algorithm] = result
+            row = dict(zip(_BASE_COLUMNS, (
+                algorithm, len(arrays), max(len(a) for a in arrays), config.k, config.alpha,
+                config.distribution, rep_seed, rep, wall, "", stats.values_generated,
+                stats.corrupted_count, stats.fringe_peak)))
             if config.stats:
-                for level, pops in stats.pops_per_level.items():
-                    row[f"pops_level_{level}"] = pops
-                    if level > max_level:
-                        max_level = level
-            rows.append(row)
-    return BenchReport(rows=rows, violations=violations, max_level=max_level)
+                row.update((f"pops_level_{level}", pops)
+                           for level, pops in stats.pops_per_level.items())
+            report.rows.append(row)
 
-
-_BASE_COLUMNS = ("algorithm", "m", "n", "k", "alpha", "distribution", "seed",
-                 "replicate", "wall_time_ns", "validated", "values_generated",
-                 "corrupted_count", "fringe_peak")
+        if config.validate:
+            oracle = results.get("brute-force")
+            if oracle is None and feasible:
+                oracle = brute_force_select(arrays, config.k, guard=config.guard)
+            for row, result in zip(report.rows[-len(results):], results.values()):
+                row["validated"] = ("skipped" if oracle is None
+                                    else "ok" if result.values == oracle.values else "fail")
+                if row["validated"] == "fail":
+                    report.violations.append(
+                        f"{row['algorithm']} disagrees with brute force "
+                        f"(m={len(arrays)}, k={config.k}, seed={rep_seed})")
+    return report
 
 
 def csv_header(max_level: int) -> list[str]:
@@ -224,7 +204,9 @@ def _format_cell(value) -> str:
 
 
 def render_csv(report: BenchReport) -> str:
-    header = csv_header(report.max_level)
+    # A row holds the base columns, then pops_level_0.. down to its tree's deepest level.
+    levels = max(map(len, report.rows), default=len(_BASE_COLUMNS)) - len(_BASE_COLUMNS)
+    header = csv_header(levels - 1)
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(header)
@@ -239,10 +221,11 @@ set logscale xy
 set xlabel 'k'
 set ylabel 'wall time (ns)'
 plot for [alg in "{algorithms}"] '{csv}' every ::1 \\
-    using 4:(strcol(1) eq alg ? column(9) : NaN) with linespoints title alg
+    using {k}:(strcol({algorithm}) eq alg ? column({wall_time_ns}) : NaN) with linespoints title alg
 """
 
 
 def write_gnuplot_script(path: str, csv_path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(GNUPLOT_TEMPLATE.format(algorithms=" ".join(SELECTORS), csv=csv_path))
+        fh.write(GNUPLOT_TEMPLATE.format(algorithms=" ".join(SELECTORS), csv=csv_path,
+                                         **{c: i for i, c in enumerate(_BASE_COLUMNS, 1)}))

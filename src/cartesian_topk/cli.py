@@ -12,15 +12,18 @@ import argparse
 import os
 import sys
 from contextlib import nullcontext
+from dataclasses import MISSING, fields
 
-from .bench import BenchConfig, render_csv, run, write_gnuplot_script
+from .bench import ALGORITHMS, DISTRIBUTIONS, BenchConfig, render_csv, run, write_gnuplot_script
 from .errors import ContractViolation, GuardError, InputParseError, ParameterError
-from .selectors import DEFAULT_ALPHA, SELECTORS
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
+
+# The BenchConfig fields that flags set, with their defaults: all but the guard.
+_SETTINGS = [f for f in fields(BenchConfig) if f.default is not MISSING]
 
 
 class _UsageError(Exception):
@@ -37,26 +40,23 @@ def build_parser() -> _Parser:
         prog="cartesian-topk",
         description="Select the k smallest values of the Cartesian sum of m arrays "
                     "and record instrumentation as CSV.")
-    parser.add_argument("--algorithm", default="all",
-                        choices=[*SELECTORS, "brute-force", "all"])
-    parser.add_argument("--m", type=int, default=4, help="number of arrays")
-    parser.add_argument("--n", type=int, default=8, help="length of each generated array")
-    parser.add_argument("--k", type=int, default=8, help="selection size")
-    parser.add_argument("--alpha", type=float, default=DEFAULT_ALPHA,
-                        help="layer-growth rank for fast-soft-tree, in (1, 2)")
-    parser.add_argument("--distribution", default="uniform",
-                        choices=["uniform", "exponential", "file"])
-    parser.add_argument("--input-file", default=None,
-                        help="text file with one array per line (distribution=file)")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--replicates", type=int, default=1)
+    parser.add_argument("--algorithm", choices=[*ALGORITHMS, "all"])
+    parser.add_argument("--m", type=int, help="number of arrays")
+    parser.add_argument("--n", type=int, help="length of each generated array")
+    parser.add_argument("--k", type=int, help="selection size")
+    parser.add_argument("--alpha", type=float, help="layer-growth rank for fast-soft-tree, in (1, 2)")
+    parser.add_argument("--distribution", choices=DISTRIBUTIONS)
+    parser.add_argument("--input-file", help="text file with one array per line (distribution=file)")
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--replicates", type=int)
     parser.add_argument("--validate", action="store_true",
                         help="check every algorithm against the brute-force oracle")
     parser.add_argument("--stats", action="store_true",
                         help="include per-level pop columns in the CSV")
-    parser.add_argument("--output", default=None, help="CSV path (default: stdout)")
-    parser.add_argument("--emit-gnuplot", default=None, metavar="PATH",
+    parser.add_argument("--output", help="CSV path (default: stdout)")
+    parser.add_argument("--emit-gnuplot", metavar="PATH",
                         help="also write a gnuplot script for the CSV")
+    parser.set_defaults(**{f.name: f.default for f in _SETTINGS})
     return parser
 
 
@@ -75,24 +75,20 @@ def main(argv: list[str] | None = None) -> int:
         for flag, path in (("--output", ns.output), ("--emit-gnuplot", ns.emit_gnuplot)):
             if _same_file(path, ns.input_file):  # opening it would truncate the input
                 raise _UsageError(f"{flag} and --input-file name the same file")
-        config = BenchConfig(
-            algorithm=ns.algorithm, m=ns.m, n=ns.n, k=ns.k, alpha=ns.alpha,
-            distribution=ns.distribution, input_file=ns.input_file, seed=ns.seed,
-            replicates=ns.replicates, validate=ns.validate, stats=ns.stats,
-            output=ns.output)
+        config = BenchConfig(**{f.name: getattr(ns, f.name) for f in _SETTINGS})
         config.check()  # before any output is opened (truncated)
     except (_UsageError, ParameterError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
     # Every output is opened before the run, so a bad path costs no run time.
-    path = config.output
+    path = ns.output
     try:
         with open(path, "w", newline="", encoding="utf-8") if path else nullcontext(sys.stdout) as out:
             if ns.emit_gnuplot:
                 path = ns.emit_gnuplot
-                write_gnuplot_script(path, config.output)
-                path = config.output
+                write_gnuplot_script(path, ns.output)
+                path = ns.output
             try:
                 report = run(config)
             except InputParseError as exc:

@@ -1,6 +1,7 @@
 import csv
 import io
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import cartesian_topk
-from cartesian_topk import ContractViolation, InputParseError, ParameterError
+from cartesian_topk import ContractViolation, InputParseError, ParameterError, brute_force_select
 from cartesian_topk.bench import (BenchConfig, csv_header, generate_inputs,
                                   ingest_file, render_csv, run)
 from cartesian_topk.cli import main
@@ -283,6 +284,44 @@ def test_cli_validation_failure_exit_code(tmp_path, monkeypatch, capsys):
     assert [row["validated"] for row in rows] == ["fail"]
 
 
+def test_cli_validation_checks_order(monkeypatch, capsys):
+    # every selector returns ascending values, so the right values in another
+    # order fail validation
+    import cartesian_topk.selectors as selectors
+    sort_tensor_select = selectors.SELECTORS["sort-tensor"]
+
+    def reversed_values(arrays, k, *, stats=None):
+        result = sort_tensor_select(arrays, k, stats=stats)
+        result.values.reverse()
+        return result
+
+    monkeypatch.setitem(selectors.SELECTORS, "sort-tensor", reversed_values)
+    assert main(["--algorithm", "all", "--m", "3", "--n", "4", "--k", "6", "--validate"]) == 3
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert {row["algorithm"]: row["validated"] for row in rows} == {
+        "soft-tensor": "ok", "soft-tree": "ok", "sort-tensor": "fail", "sort-tree": "ok",
+        "fast-soft-tree": "ok", "brute-force": "ok"}
+
+
+@pytest.mark.parametrize("algorithm", ["all", "soft-tree"])
+def test_cli_validate_runs_the_oracle_once_per_replicate(monkeypatch, capsys, algorithm):
+    # under "all" the brute-force row is the oracle for the others
+    import cartesian_topk.bench as bench
+    calls = []
+
+    def counting(arrays, k, **keywords):
+        calls.append(k)
+        return brute_force_select(arrays, k, **keywords)
+
+    monkeypatch.setattr(bench, "brute_force_select", counting)
+    assert main(["--algorithm", algorithm, "--m", "4", "--n", "5", "--k", "10",
+                 "--replicates", "2", "--validate"]) == 0
+    assert calls == [10, 10]
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert len(rows) == (12 if algorithm == "all" else 2)
+    assert {row["validated"] for row in rows} == {"ok"}
+
+
 def test_cli_file_input_roundtrip(tmp_path):
     p = tmp_path / "arrays.txt"
     p.write_text("0.5 0.25 1.5\n2.0 0.75\n")
@@ -357,7 +396,13 @@ def test_cli_gnuplot_script(tmp_path):
     code = main(["--algorithm", "sort-tree", "--m", "2", "--n", "4", "--k", "3",
                  "--output", str(out), "--emit-gnuplot", str(script)])
     assert code == 0
-    assert str(out) in script.read_text()
+    text = script.read_text()
+    assert str(out) in text
+    # the columns it plots are where the CSV header puts k, algorithm and wall_time_ns
+    using = re.search(r"using (\d+):\(strcol\((\d+)\) eq alg \? column\((\d+)\)", text)
+    head = csv_header(0)
+    assert [int(c) for c in using.groups()] == [
+        head.index(name) + 1 for name in ("k", "algorithm", "wall_time_ns")]
 
 
 def test_cli_unreadable_input_file(tmp_path, capsys):

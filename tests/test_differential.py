@@ -36,6 +36,14 @@ order and with ``==``, the values of ``perfbench/reference.py``'s
 selectors, and a second call of each must repeat its values and every
 ``RunStats`` field.
 
+Three exact relations check counters where no reference gives them.  On
+seeded small cases (m <= 8, n <= 16, k <= 64; tie-heavy 0-3, exponential
+or negated exponential axes), permuting the values inside each axis,
+scaling every axis by the same 2^s with |s| < 30, and adding an integer
+c_t to every value of integer axis t must each leave every selector's
+``repr(RunStats)`` as it was, and must keep, scale by 2^s, or shift by
+the sum of the c_t every selected value, exactly.
+
 Run as a script, it sweeps more cases than tier-1 without pytest:
 
     PYTHONPATH=src python tests/test_differential.py --cases 1000 --seed 1
@@ -71,6 +79,7 @@ EQUAL_LENGTH_CASES = 50
 OPTIMIZED_CASES = 50
 WIDE_MAX_M, WIDE_MAX_N, WIDE_MAX_K = 256, 256, 1024
 WIDE_CASES = 4  # per container in tier-1; the script's --wide-cases runs more
+RELATION_CASES = 20
 
 # The wide stream's reference: exact, and sharing no code with the selectors.
 _spec = importlib.util.spec_from_file_location(
@@ -244,6 +253,43 @@ def _check_wide_cases(container, cases, seed=0):
             assert got[1] == got[0] and stats[1] == stats[0], (name, where)
         for a, b in zip(arrays, before):
             assert np.array_equal(a, b), where
+
+
+def make_relation_case(rng):
+    """One (arrays, k) case: m <= 8 axes of 1 to 16 values, k <= 64."""
+    kind = rng.choice(("ties", "exponential", "negated-exponential"))
+    draw = {"ties": lambda: float(rng.randint(0, 3)),
+            "exponential": lambda: rng.expovariate(1.0),
+            "negated-exponential": lambda: -rng.expovariate(1.0)}[kind]
+    arrays = [[draw() for _ in range(rng.randint(1, 16))] for _ in range(rng.randint(1, 8))]
+    return arrays, rng.randint(1, min(64, math.prod(len(a) for a in arrays)))
+
+
+def _related(rng, relation, arrays):
+    # the transformed arrays, and the exact map they make on every sum
+    if relation == "permute":
+        return [rng.sample(a, len(a)) for a in arrays], lambda v: v
+    if relation == "scale":
+        s = rng.randint(-29, 29)
+        return [[math.ldexp(v, s) for v in a] for a in arrays], lambda v: math.ldexp(v, s)
+    shifts = [rng.randint(-10**6, 10**6) for _ in arrays]
+    return [[v + c for v in a] for a, c in zip(arrays, shifts)], lambda v: v + sum(shifts)
+
+
+@pytest.mark.parametrize("relation", ["permute", "scale", "shift"])
+def test_metamorphic_relations(relation):
+    rng = random.Random(f"relation-{relation}")
+    for case in range(RELATION_CASES):
+        arrays, k = make_relation_case(rng)
+        if relation == "shift":  # exact on integers, whose sums here stay far below 2^53
+            arrays = [[float(round(4 * v)) for v in a] for a in arrays]
+        moved, image = _related(rng, relation, arrays)
+        for name, select in SELECTORS.items():
+            where = (relation, case, name, [len(a) for a in arrays], k)
+            stats, moved_stats = RunStats(), RunStats()
+            values = select(arrays, k, stats=stats).values
+            assert select(moved, k, stats=moved_stats).values == [image(v) for v in values], where
+            assert repr(moved_stats) == repr(stats), where
 
 
 @pytest.mark.parametrize("container", CONTAINERS)

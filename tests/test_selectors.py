@@ -852,6 +852,34 @@ def test_golden_run_stats(case, name):
     assert got == _GOLDEN_STATS[case, name]
 
 
+# every RunStats field on the paper's case (m=64, n=1024, k=512, exponential,
+# seed 1), recorded after each 1-D cut began to sort what it keeps, which made
+# these counters the same on any CPU
+_GOLDEN_PAPER_M64 = {
+    "soft-tensor": "RunStats(pops_per_level={}, values_generated=22083, corrupted_count=27, "
+                   "fringe_peak=21571, generated_per_level={})",
+    "soft-tree": "RunStats(pops_per_level={}, values_generated=138557, corrupted_count=5945, "
+                 "fringe_peak=905, generated_per_level={})",
+    "sort-tensor": "RunStats(pops_per_level={}, values_generated=10778, corrupted_count=0, "
+                   "fringe_peak=10266, generated_per_level={})",
+    "sort-tree": "RunStats(pops_per_level={6: 3.0625, 5: 3.34375, 4: 4.875, 3: 6.875, "
+                 "2: 17.75, 1: 66.5, 0: 512.0}, values_generated=1152, corrupted_count=0, "
+                 "fringe_peak=359, generated_per_level={})",
+    "fast-soft-tree": "RunStats(pops_per_level={5: 25.40625, 4: 45.8125, 3: 81.875, "
+                      "2: 152.75, 1: 281.0, 0: 544.0}, values_generated=4839, "
+                      "corrupted_count=278, fringe_peak=140, generated_per_level={6: 921, "
+                      "5: 813, 4: 733, 3: 655, 2: 611, 1: 562, 0: 544})",
+}
+
+
+@pytest.mark.parametrize("name", SELECTORS)
+def test_golden_run_stats_paper_m64(name):
+    from cartesian_topk.bench import generate_inputs
+    stats = RunStats()
+    SELECTORS[name](generate_inputs("exponential", 64, 1024, 1), 512, stats=stats)
+    assert repr(stats) == _GOLDEN_PAPER_M64[name]
+
+
 # sha256 of the sorted selectors' pop order, recorded before each cell got
 # exactly one proposer: values, indices (ties pop in a fixed order) and, for
 # sort-tree, pops_per_level, over m = 2..9 on distinct and tie-heavy axes of
