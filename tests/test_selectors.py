@@ -942,6 +942,51 @@ def test_golden_soft_tensor_settle_order(kind):
     assert hashlib.sha256(repr(trace).encode()).hexdigest() == _SOFT_TENSOR_SETTLE_DIGESTS[kind]
 
 
+def _last_axis_inputs():
+    # a deep-k-shaped input (k = 8n, most settles advance the last axis) and a
+    # tie-heavy one whose last two axes have length 1, so the last axis with
+    # more than one value is not axis m-1
+    from cartesian_topk.bench import generate_inputs
+    rng = random.Random(27)
+    ties = [[float(rng.randint(0, 7)) for _ in range(n)] for n in (9, 7, 12, 6, 1, 1)]
+    return {"deep-k": (generate_inputs("uniform", 4, 256, 1), 2048), "ties": (ties, 2000)}
+
+
+# repr(RunStats) and sha256 of the returned values, recorded while every
+# settled cell still copied its proposer's node sums
+_SOFT_TENSOR_LAST_AXIS_GOLDEN = {
+    "deep-k": ("RunStats(pops_per_level={}, values_generated=5039, corrupted_count=102, "
+               "fringe_peak=2991, generated_per_level={})",
+               "0199f1e64fec8bff385625f6c2951432c92fb847c2fd8c2145c941ad13a52211"),
+    "ties": ("RunStats(pops_per_level={}, values_generated=2976, corrupted_count=1, "
+             "fringe_peak=1044, generated_per_level={})",
+             "31a17ea19a9509d6375dc3779cca22594aa7d7a1790594f51ac1e8bd85da61b1"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_SOFT_TENSOR_LAST_AXIS_GOLDEN))
+def test_golden_soft_tensor_last_axis(kind):
+    import hashlib
+    arrays, k = _last_axis_inputs()[kind]
+    stats = RunStats()
+    result = soft_tensor_select(arrays, k, stats=stats)
+    digest = hashlib.sha256(repr(result.values).encode()).hexdigest()
+    assert (repr(stats), digest) == _SOFT_TENSOR_LAST_AXIS_GOLDEN[kind]
+    assert result.values == sort_tensor_select(arrays, k).values
+
+
+@pytest.mark.parametrize("lengths", [(5, 4, 1, 1), (4, 1, 6), (1, 1, 1), (1,), (7,), (3, 1)])
+def test_soft_tensor_matches_oracle_around_length_one_axes(lengths):
+    # trailing length-1 axes, a length-1 middle axis, all axes of length 1 and
+    # m = 1: the last axis with more than one value (axis 0 if there is none)
+    # is where settles stop opening later axes; every k up to exhaustion
+    rng = random.Random(sum(lengths) * len(lengths))
+    arrays = [[float(rng.randint(0, 3)) for _ in range(n)] for n in lengths]
+    for k in range(1, math.prod(lengths) + 1):
+        result = soft_tensor_select(arrays, k, debug_checks=True)
+        assert result.values == brute_force_select(arrays, k).values, (lengths, k)
+
+
 @pytest.mark.parametrize("m", range(2, 7))
 def test_sorted_selectors_push_each_cell_once(monkeypatch, m):
     # nothing at run time drops a repeated push, so record every push while
