@@ -226,6 +226,7 @@ plot for [alg in "{algorithms}"] '{csv}' every ::1 \\
 
 
 def write_gnuplot_script(path: str, csv_path: str) -> None:
+    csv_path = csv_path.replace("'", "''")  # a quote inside gnuplot's single quotes
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(GNUPLOT_TEMPLATE.format(algorithms=" ".join(SELECTORS), csv=csv_path,
                                          **{c: i for i, c in enumerate(_BASE_COLUMNS, 1)}))

@@ -24,6 +24,9 @@ EXIT_VALIDATION = 3
 
 # The BenchConfig fields that flags set, with their defaults: all but the guard.
 _SETTINGS = [f for f in fields(BenchConfig) if f.default is not MISSING]
+# Fields that size generated inputs: unset (None) unless given, so that one
+# given with distribution 'file', which would ignore it, can be refused.
+_SIZES = ("m", "n")
 
 
 class _UsageError(Exception):
@@ -56,7 +59,7 @@ def build_parser() -> _Parser:
     parser.add_argument("--output", help="CSV path (default: stdout)")
     parser.add_argument("--emit-gnuplot", metavar="PATH",
                         help="also write a gnuplot script for the CSV")
-    parser.set_defaults(**{f.name: f.default for f in _SETTINGS})
+    parser.set_defaults(**{f.name: f.default for f in _SETTINGS if f.name not in _SIZES})
     return parser
 
 
@@ -75,7 +78,12 @@ def main(argv: list[str] | None = None) -> int:
         for flag, path in (("--output", ns.output), ("--emit-gnuplot", ns.emit_gnuplot)):
             if _same_file(path, ns.input_file):  # opening it would truncate the input
                 raise _UsageError(f"{flag} and --input-file name the same file")
-        config = BenchConfig(**{f.name: getattr(ns, f.name) for f in _SETTINGS})
+        sizes = [f"--{name}" for name in _SIZES if getattr(ns, name) is not None]
+        if sizes and ns.distribution == "file":
+            raise _UsageError(f"{' and '.join(sizes)} size generated inputs; "
+                              f"distribution 'file' reads its arrays from --input-file")
+        config = BenchConfig(**{f.name: getattr(ns, f.name) for f in _SETTINGS
+                                if getattr(ns, f.name) is not None})
         config.check()  # before any output is opened (truncated)
     except (_UsageError, ParameterError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -293,14 +293,18 @@ def soft_tensor_select(arrays: Sequence[Sequence[float]], k: int, *,
     where they exist; the root sets axis 0 to 1.  An item's payload is the
     int ``(p * m + t) * span + c``, p being its proposer's settle number.
     A settling cell keeps its node sums: its proposer's, with leaf t's path
-    re-summed (``_Tree.advanced``).  Only ``debug_checks`` computes cell
-    codes (``_strides``), to refuse a cell proposed twice.
+    re-summed (``_Tree.advanced``).  A cell that set ``last``, the last
+    axis with more than one value (0 if none has), opens no later axis,
+    and its children read only the siblings on leaf t's path, which equal
+    its proposer's: it shares its proposer's list.  Only ``debug_checks``
+    computes cell codes (``_strides``), to refuse a cell proposed twice.
     """
     axes, k = _validated(arrays, k, stats)  # ascending, so each axis is already a binary heap
     mats = [a.values for a in axes]  # min(16, n) values or more: (u, 2), (u, 3) never miss
     m = len(mats)
     dims = [a.n for a in axes]
     span = max(dims) + 1
+    last = max((t for t, n in enumerate(dims) if n > 1), default=0)
     tree = _Tree(m)
     advanced, child = tree.advanced, tree.child
     table = [tree.partials([a[0] for a in mats])]  # node sums by settle number
@@ -322,7 +326,7 @@ def soft_tensor_select(arrays: Sequence[Sequence[float]], k: int, *,
     def propose(payload: int) -> None:
         rest, c = divmod(payload, span)
         p, t = divmod(rest, m)
-        sums = advanced(table[p], t, mats[t][c - 1])
+        sums = table[p] if t == last else advanced(table[p], t, mats[t][c - 1])
         if codes is not None:
             codes.append(codes[p] + (c - c // 2) * strides[t] if p else 0)
         base = len(table) * m  # this cell's settle number, times m
@@ -337,7 +341,7 @@ def soft_tensor_select(arrays: Sequence[Sequence[float]], k: int, *,
                 if c == len(col):
                     axes[t].reach(c + 1)
                 insert(child(sums, t, col[c]), key + 1)
-        for u in range(t + 1, m):
+        for u in range(t + 1, last + 1):
             n = dims[u]
             if n > 1:
                 key = (base + u) * span

@@ -234,6 +234,39 @@ def test_cli_input_file_needs_file_distribution(tmp_path, capsys, monkeypatch):
         BenchConfig(input_file=str(src)).check()
 
 
+@pytest.mark.parametrize("sizes", [["--m", "7"], ["--n", "9"], ["--m", "7", "--n", "9"]])
+def test_cli_sizes_refused_with_file_distribution(tmp_path, capsys, monkeypatch, sizes):
+    # a file's arrays fix m and n: a size flag the run would ignore is refused
+    # before the output is opened, naming each flag given
+    def no_run(config):
+        raise AssertionError("run() started")
+    monkeypatch.setattr("cartesian_topk.cli.run", no_run)
+    src = tmp_path / "in.txt"
+    src.write_text("1 2 3\n4 5\n")
+    out = tmp_path / "rows.csv"
+    out.write_text("kept\n")
+    assert main(["--distribution", "file", "--input-file", str(src), "--algorithm", "sort-tree",
+                 "--k", "2", *sizes, "--output", str(out)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("usage error:"), err
+    assert all(flag in err[0] for flag in sizes[::2]), err
+    assert out.read_text() == "kept\n"
+
+
+def test_cli_file_sizes_come_from_the_file(tmp_path, capsys):
+    # without --m and --n a file run reports the file's sizes, and a generated
+    # run still takes BenchConfig's
+    src = tmp_path / "in.txt"
+    src.write_text("1 2 3\n4 5\n")
+    assert main(["--distribution", "file", "--input-file", str(src), "--algorithm", "sort-tree",
+                 "--k", "2"]) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert (rows[0]["m"], rows[0]["n"]) == ("2", "3")
+    assert main(["--algorithm", "sort-tree", "--k", "2"]) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert (rows[0]["m"], rows[0]["n"]) == (str(BenchConfig.m), str(BenchConfig.n))
+
+
 def test_cli_oversized_generation_is_usage_error(monkeypatch, capsys):
     # 10^10 x 10^10 float64 values fail NumPy's size check before any allocation
     args = ["--algorithm", "sort-tree", "--m", "10000000000", "--n", "10000000000", "--k", "1"]
@@ -403,6 +436,19 @@ def test_cli_gnuplot_script(tmp_path):
     head = csv_header(0)
     assert [int(c) for c in using.groups()] == [
         head.index(name) + 1 for name in ("k", "algorithm", "wall_time_ns")]
+
+
+def test_cli_gnuplot_script_quotes_the_csv_path(tmp_path):
+    # gnuplot writes a ' inside a single-quoted string as ''; read the plot
+    # line's file name back by that rule
+    out = tmp_path / "it's a 'test'.csv"
+    script = tmp_path / "plot.gp"
+    assert main(["--algorithm", "sort-tree", "--m", "2", "--n", "4", "--k", "3",
+                 "--output", str(out), "--emit-gnuplot", str(script)]) == 0
+    plot = next(line for line in script.read_text().splitlines() if line.startswith("plot "))
+    quoted = re.fullmatch(r"""plot for \[alg in "[^"]*"\] '((?:[^']|'')*)' every ::1 \\""", plot)
+    assert quoted, plot
+    assert quoted.group(1).replace("''", "'") == str(out)
 
 
 def test_cli_unreadable_input_file(tmp_path, capsys):

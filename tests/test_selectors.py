@@ -987,6 +987,31 @@ def test_soft_tensor_matches_oracle_around_length_one_axes(lengths):
         assert result.values == brute_force_select(arrays, k).values, (lengths, k)
 
 
+def test_soft_tensor_shares_node_sums_on_the_last_axis(monkeypatch):
+    # a settle on the last axis with more than one value keeps its proposer's
+    # node sums, so _Tree.advanced runs only for the other settles
+    import cartesian_topk.selectors as sel
+    calls = {"advanced": 0, "settled": 0}
+    advanced, pop_and_pool = sel._Tree.advanced, sel.pop_and_pool
+
+    def counted(self, *args):
+        calls["advanced"] += 1
+        return advanced(self, *args)
+
+    def counted_pool(soft, pops, pool, propose):
+        def settle(payload):
+            calls["settled"] += 1
+            propose(payload)
+        return pop_and_pool(soft, pops, pool, settle)
+
+    monkeypatch.setattr(sel._Tree, "advanced", counted)
+    monkeypatch.setattr(sel, "pop_and_pool", counted_pool)
+    arrays, k = _last_axis_inputs()["deep-k"]
+    soft_tensor_select(arrays, k)
+    assert calls["advanced"] == 308  # 2,056, one per settle, while every settle copied
+    assert calls["advanced"] < calls["settled"] == 2056
+
+
 @pytest.mark.parametrize("m", range(2, 7))
 def test_sorted_selectors_push_each_cell_once(monkeypatch, m):
     # nothing at run time drops a repeated push, so record every push while
