@@ -2,8 +2,8 @@
 
 ``soft_select_pairwise`` selects the k smallest sums A_i + B_j through a
 soft heap over binary-heapified inputs: popping (i, j) proposes
-{(2i,1), (2i+1,1), (i,2), (i,3)} when j == 1 and {(i,2j), (i,2j+1)}
-otherwise, so every cell is proposed by exactly one parent.
+(i, 2j), (i, 2j+1), and (2i, 1), (2i+1, 1) too when j == 1, so every
+cell is proposed by exactly one parent.
 
 ``concatenation_select`` drives two layer generators until the generated
 prefixes cover a k-selection on the concatenation A|B, generating about
@@ -60,13 +60,9 @@ def soft_select_pairwise(a: Sequence[float], b: Sequence[float], k: int, *,
             for ci in (2 * i + 1, 2 * i + 2):
                 if ci < na:
                     insert(heap_a[ci] + heap_b[0], ci * nb)
-            for cj in (1, 2):
-                if cj < nb:
-                    insert(heap_a[i] + heap_b[cj], i * nb + cj)
-        else:
-            for cj in (2 * j + 1, 2 * j + 2):
-                if cj < nb:
-                    insert(heap_a[i] + heap_b[cj], i * nb + cj)
+        for cj in (2 * j + 1, 2 * j + 2):
+            if cj < nb:
+                insert(heap_a[i] + heap_b[cj], i * nb + cj)
 
     pool: list = []
     pop_and_pool(soft, k, pool, propose)
@@ -130,13 +126,14 @@ def concatenation_select(gen_a: LohGenerator, gen_b: LohGenerator, k: int,
 class PairSumNode(LohGenerator):
     """Layer generator for A + B over two child layer generators.
 
-    Every proposed index pair lives in exactly one place until consumed:
-    the soft heap (both coordinates inside the generated child prefixes,
-    value known), or the purgatory list of the one side whose generated
-    prefix it points past: a proposal keeps B's coordinate 1, which every
-    child realizes in its constructor, or a settled pair's coordinate of
-    A, so no pair is blocked on both sides.  Pairs pointing past a child's
-    total size are never created at all.
+    Settling (i, j) proposes (i, 2j), (i, 2j+1), and (2i, 1), (2i+1, 1) too
+    when j == 1, in the children's layer orders (``child_positions``).  Every
+    proposed pair lives in exactly one place until consumed: the soft heap
+    (both coordinates inside the generated child prefixes, value known), or
+    the purgatory list of the one side whose generated prefix it points past:
+    a proposal keeps B's coordinate 1, which every child realizes in its
+    constructor, or a settled pair's coordinate of A, so no pair is blocked on
+    both sides.  Pairs pointing past a child's total size are never made.
 
     The node keeps one soft heap for its lifetime.  ``_next_layer`` makes
     each output layer by: covering the child prefixes via concatenation
@@ -194,11 +191,8 @@ class PairSumNode(LohGenerator):
         if ib == 1:
             for ca in self.left.schedule.child_positions(ia):
                 self._propose(ca, 1)
-            for cb in self.right.schedule.child_positions(1):
-                self._propose(ia, cb)
-        else:
-            for cb in self.right.schedule.child_positions(ib):
-                self._propose(ia, cb)
+        for cb in self.right.schedule.child_positions(ib):
+            self._propose(ia, cb)
 
     def _propose(self, ia: int, ib: int) -> None:
         # First (and only) proposal of a pair; the scheme is duplicate-free.

@@ -334,12 +334,10 @@ def soft_tensor_select(arrays: Sequence[Sequence[float]], k: int, *,
         c *= 2
         if c <= dims[t]:
             col, key = mats[t], (base + t) * span + c
-            if c > len(col):  # heap children jump past the realized prefix
-                axes[t].reach(c)
+            if c >= len(col):  # heap children jump past the realized prefix
+                axes[t].reach(c + 1)
             insert(child(sums, t, col[c - 1]), key)
             if c < dims[t]:
-                if c == len(col):
-                    axes[t].reach(c + 1)
                 insert(child(sums, t, col[c]), key + 1)
         for u in range(t + 1, last + 1):
             n = dims[u]
@@ -390,22 +388,23 @@ def sort_tensor_select(arrays: Sequence[Sequence[float]], k: int, *,
 
     A fringe of candidate cells grows from (1, ..., 1).  Each cell has one
     proposer, as in ``soft_tensor_select``: a popped cell that advanced axis t
-    over its parent pushes its successors along axes t..m-1 only (the root
-    counts as advancing axis 0).  Indices address the ascending order of
-    each axis.  The fringe keys a cell by its code (``_strides``), so equal
-    sums pop in index-tuple order, a proposer pops before the cell it
-    proposes, and a successor's code is one addition.  A fringe entry keeps
-    its parent's tuple, the advanced axis and the parent's node sums, one
-    list shared by all the siblings it pushed; a pop builds the cell's own
-    tuple and copies those sums with only the advanced leaf's path re-summed
-    (``_Tree.advanced``: at most ceil(log2 m) additions instead of the m-1
-    of ``partials``).  So a popped cell's list stays alive while any of its
-    children is in the fringe.
+    over its parent pushes its successors along axes t..last only, ``last``
+    being the last open axis, the last with more than one value.  Indices
+    address the ascending order of each axis.  The fringe keys a cell by its
+    code (``_strides``), so equal sums pop in index-tuple order, a proposer
+    pops before the cell it proposes, and a successor's code is one addition.
+    A fringe entry keeps its parent's tuple, the advanced axis and the
+    parent's node sums: one list, shared by all the siblings it pushed and
+    alive while any of them is in the fringe.  A pop copies it with only the
+    advanced leaf's path re-summed (``_Tree.advanced``), except that a cell on
+    the last open axis opens no later axis and shares its proposer's node
+    sums, with no copy and no addition.
     """
     axes, k = _validated(arrays, k, stats)
     mats = [a.values for a in axes]
     m = len(mats)
     dims = [a.n for a in axes]
+    last = max((t for t, n in enumerate(dims) if n > 1), default=0)
     tree = _Tree(m)
     strides = _strides(dims)
 
@@ -415,7 +414,6 @@ def sort_tensor_select(arrays: Sequence[Sequence[float]], k: int, *,
     fringe: list[tuple] = [(first[-1], 0, (0,) + (1,) * (m - 1), 0, first)]
     push, pop, advanced = heapq.heappush, heapq.heappop, tree.advanced
     peak = 1
-    pushes = 1
     values: list[float] = []
     indices: list[tuple[int, ...]] = []
     for _ in range(k):
@@ -424,8 +422,8 @@ def sort_tensor_select(arrays: Sequence[Sequence[float]], k: int, *,
         idx = parent[:axis] + (i + 1,) + parent[axis + 1:]
         values.append(val)
         indices.append(idx)
-        sums = advanced(sums, axis, mats[axis][i])
-        for t in range(axis, m):
+        sums = sums if axis == last else advanced(sums, axis, mats[axis][i])
+        for t in range(axis, last + 1):
             i = idx[t]
             if i == dims[t]:
                 continue
@@ -434,11 +432,10 @@ def sort_tensor_select(arrays: Sequence[Sequence[float]], k: int, *,
             except IndexError:
                 value = axes[t].reach(i + 1)[i]
             push(fringe, (tree.child(sums, t, value), code + strides[t], idx, t, sums))
-            pushes += 1
         if len(fringe) > peak:
             peak = len(fringe)
     if stats is not None:
-        stats.values_generated += pushes
+        stats.values_generated += k + len(fringe)  # every push, the root's included
         stats.fringe_peak = max(stats.fringe_peak, peak)
     return SelectionResult(values=values, indices=indices)
 
@@ -496,11 +493,10 @@ class _SortMerge:
             values.append(val)
             history.append((i, j))
             grown = -1  # fringe entries gained by this pop
-            if j == 1 and i < left.n:
-                if i == self.rows:
-                    self.rows = i + 1
-                    if i == len(lv):
-                        left.reach(i + 1)
+            if j == 1 and i < left.n:  # (i, 1) cells pop in increasing i
+                self.rows = i + 1
+                if i == len(lv):
+                    left.reach(i + 1)
                 heapq.heappush(fringe, (lv[i] + rv[0], i + 1, 1))
                 grown = 0
             if j < right.n:

@@ -38,9 +38,10 @@ selectors, and a second call of each must repeat its values and every
 
 Three exact relations check counters where no reference gives them.  On
 seeded small cases (m <= 8, n <= 16, k <= 64; tie-heavy 0-3, exponential
-or negated exponential axes), permuting the values inside each axis,
-scaling every axis by the same 2^s with |s| < 30, and adding an integer
-c_t to every value of integer axis t must each leave every selector's
+or negated exponential axes), and on float-list cases drawn like the wide
+stream, permuting the values inside each axis, scaling every axis by the
+same 2^s with |s| < 30, and, on axes rounded to integers, adding an
+integer c_t to every value of axis t must each leave every selector's
 ``repr(RunStats)`` as it was, and must keep, scale by 2^s, or shift by
 the sum of the c_t every selected value, exactly.
 
@@ -49,8 +50,8 @@ Run as a script, it sweeps more cases than tier-1 without pytest:
     PYTHONPATH=src python tests/test_differential.py --cases 1000 --seed 1
 
 checks ``--cases`` cases of every container in each of the first two
-streams and ``--wide-cases`` (20 by default) in the wide one; seed 0
-draws tier-1's cases.
+streams, ``--wide-cases`` (20 by default) in the wide one, and
+``--wide-cases`` wide cases of each relation; seed 0 draws tier-1's cases.
 """
 
 import argparse
@@ -80,6 +81,8 @@ OPTIMIZED_CASES = 50
 WIDE_MAX_M, WIDE_MAX_N, WIDE_MAX_K = 256, 256, 1024
 WIDE_CASES = 4  # per container in tier-1; the script's --wide-cases runs more
 RELATION_CASES = 20
+RELATIONS = ("permute", "scale", "shift")
+WIDE_RELATION_CASES = 8  # per relation in tier-1; the script's --wide-cases runs more
 
 # The wide stream's reference: exact, and sharing no code with the selectors.
 _spec = importlib.util.spec_from_file_location(
@@ -276,11 +279,17 @@ def _related(rng, relation, arrays):
     return [[v + c for v in a] for a, c in zip(arrays, shifts)], lambda v: v + sum(shifts)
 
 
-@pytest.mark.parametrize("relation", ["permute", "scale", "shift"])
-def test_metamorphic_relations(relation):
-    rng = random.Random(f"relation-{relation}")
-    for case in range(RELATION_CASES):
-        arrays, k = make_relation_case(rng)
+def make_wide_relation_case(rng):
+    """One (arrays, k) case drawn like the wide stream, as lists of floats."""
+    arrays, k, _, _ = make_wide_case(rng, "float-list")
+    return arrays, k
+
+
+def _check_relation(relation, make, cases, rng):
+    # each case, moved by the relation, must keep every selector's counters
+    # and map its values exactly
+    for case in range(cases):
+        arrays, k = make(rng)
         if relation == "shift":  # exact on integers, whose sums here stay far below 2^53
             arrays = [[float(round(4 * v)) for v in a] for a in arrays]
         moved, image = _related(rng, relation, arrays)
@@ -290,6 +299,22 @@ def test_metamorphic_relations(relation):
             values = select(arrays, k, stats=stats).values
             assert select(moved, k, stats=moved_stats).values == [image(v) for v in values], where
             assert repr(moved_stats) == repr(stats), where
+
+
+def _check_wide_relation(relation, cases, seed=0):
+    _check_relation(relation, make_wide_relation_case, cases,
+                    random.Random(f"wide-relation-{relation}-{seed}"))
+
+
+@pytest.mark.parametrize("relation", RELATIONS)
+def test_metamorphic_relations(relation):
+    _check_relation(relation, make_relation_case, RELATION_CASES,
+                    random.Random(f"relation-{relation}"))
+
+
+@pytest.mark.parametrize("relation", RELATIONS)
+def test_metamorphic_relations_at_wide_sizes(relation):
+    _check_wide_relation(relation, WIDE_RELATION_CASES)
 
 
 @pytest.mark.parametrize("container", CONTAINERS)
@@ -348,6 +373,11 @@ def main(argv=None):
         _check_wide_cases(container, args.wide_cases, args.seed)
         print(f"{container}: {uneven} uneven, {args.cases} equal-length and "
               f"{args.wide_cases} wide cases passed in {time.perf_counter() - start:.1f} s")
+    for relation in RELATIONS:
+        start = time.perf_counter()
+        _check_wide_relation(relation, args.wide_cases, args.seed)
+        print(f"{relation}: {args.wide_cases} wide relation cases passed "
+              f"in {time.perf_counter() - start:.1f} s")
     return 0
 
 

@@ -117,6 +117,29 @@ def test_pairwise_child_scheme_edges(monkeypatch):
                 assert len(inserted) <= na * nb
 
 
+def test_golden_pairwise_insert_order(monkeypatch):
+    # sha256 of every (key, payload) one tie-heavy call inserts, in order,
+    # recorded while the B step of a popped (i, 1) was a branch of its own
+    import hashlib
+
+    from cartesian_topk.soft_heap import SoftHeap
+    inserted = []
+    original = SoftHeap.insert
+
+    def insert(self, key, payload=None):
+        inserted.append((key, payload))
+        return original(self, key, payload)
+
+    monkeypatch.setattr(SoftHeap, "insert", insert)
+    rng = random.Random(34)
+    a = [float(rng.randint(0, 3)) for _ in range(40)]
+    b = [float(rng.randint(0, 3)) for _ in range(30)]
+    assert soft_select_pairwise(a, b, 500) == brute_pair(a, b, 500)
+    assert len(inserted) == 710
+    assert hashlib.sha256(repr(inserted).encode()).hexdigest() == (
+        "9d680a1b8f2e4c635704ae5e373c6c9536599aeceaba4abd9b61fc0050643041")
+
+
 def test_pairwise_random_wide():
     rng = random.Random(31)
     for _ in range(1000):

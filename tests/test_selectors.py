@@ -975,16 +975,45 @@ def test_golden_soft_tensor_last_axis(kind):
     assert result.values == sort_tensor_select(arrays, k).values
 
 
+# repr(RunStats) and sha256 of the returned (values, indices), recorded while
+# every pop still copied its parent's node sums
+_SORT_TENSOR_LAST_AXIS_GOLDEN = {
+    "deep-k": ("RunStats(pops_per_level={}, values_generated=2510, corrupted_count=0, "
+               "fringe_peak=462, generated_per_level={})",
+               "5c9d26703e63668e0605ac50375430625d6e25ca230a590bf60d4ba1088bb89b"),
+    "ties": ("RunStats(pops_per_level={}, values_generated=2432, corrupted_count=0, "
+             "fringe_peak=436, generated_per_level={})",
+             "641e80e84583758acbd9f01db61a624b41037ed52dfa55c2c99be636f3f22466"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_SORT_TENSOR_LAST_AXIS_GOLDEN))
+def test_golden_sort_tensor_last_axis(kind):
+    import hashlib
+    arrays, k = _last_axis_inputs()[kind]
+    stats = RunStats()
+    result = sort_tensor_select(arrays, k, stats=stats)
+    digest = hashlib.sha256(repr((result.values, result.indices)).encode()).hexdigest()
+    assert (repr(stats), digest) == _SORT_TENSOR_LAST_AXIS_GOLDEN[kind]
+
+
 @pytest.mark.parametrize("lengths", [(5, 4, 1, 1), (4, 1, 6), (1, 1, 1), (1,), (7,), (3, 1)])
 def test_soft_tensor_matches_oracle_around_length_one_axes(lengths):
     # trailing length-1 axes, a length-1 middle axis, all axes of length 1 and
     # m = 1: the last axis with more than one value (axis 0 if there is none)
-    # is where settles stop opening later axes; every k up to exhaustion
+    # is where either tensor selector stops opening later axes; every k up to
+    # exhaustion
     rng = random.Random(sum(lengths) * len(lengths))
     arrays = [[float(rng.randint(0, 3)) for _ in range(n)] for n in lengths]
+    ordered = [sorted(a) for a in arrays]
     for k in range(1, math.prod(lengths) + 1):
-        result = soft_tensor_select(arrays, k, debug_checks=True)
-        assert result.values == brute_force_select(arrays, k).values, (lengths, k)
+        expected = brute_force_select(arrays, k).values
+        assert soft_tensor_select(arrays, k, debug_checks=True).values == expected, (lengths, k)
+        result = sort_tensor_select(arrays, k)
+        assert result.values == expected, (lengths, k)
+        assert len(set(result.indices)) == k, (lengths, k)
+        assert result.values == [balanced_sum([ax[i - 1] for ax, i in zip(ordered, idx)])
+                                 for idx in result.indices], (lengths, k)
 
 
 def test_soft_tensor_shares_node_sums_on_the_last_axis(monkeypatch):
@@ -1010,6 +1039,24 @@ def test_soft_tensor_shares_node_sums_on_the_last_axis(monkeypatch):
     soft_tensor_select(arrays, k)
     assert calls["advanced"] == 308  # 2,056, one per settle, while every settle copied
     assert calls["advanced"] < calls["settled"] == 2056
+
+
+def test_sort_tensor_shares_node_sums_on_the_last_axis(monkeypatch):
+    # a pop on the last axis with more than one value keeps its parent's node
+    # sums, so _Tree.advanced runs only for the other pops
+    import cartesian_topk.selectors as sel
+    calls = []
+    advanced = sel._Tree.advanced
+
+    def counted(self, sums, t, value):
+        calls.append(t)
+        return advanced(self, sums, t, value)
+
+    monkeypatch.setattr(sel._Tree, "advanced", counted)
+    arrays, k = _last_axis_inputs()["deep-k"]
+    assert len(sort_tensor_select(arrays, k).values) == 2048
+    assert len(calls) == 306  # 2,048, one per pop, while every pop copied
+    assert 3 not in calls  # axis 3 is the last open axis here
 
 
 @pytest.mark.parametrize("m", range(2, 7))
@@ -1161,6 +1208,30 @@ def test_golden_pair_sum_node_asymmetric_trace():
         node.generate_next_layer()
         trace.append(_node_counters(node))
     assert trace == _GOLDEN_NODE_ASYMMETRIC
+
+
+def test_golden_pair_sum_node_insert_order(monkeypatch):
+    # sha256 of every (key, payload) the asymmetric node inserts, in order,
+    # recorded while the B step of a settled (i, 1) was a branch of its own
+    import hashlib
+
+    from cartesian_topk.soft_heap import SoftHeap
+    inserted = []
+    original = SoftHeap.insert
+
+    def insert(self, key, payload=None):
+        inserted.append((key, payload))
+        return original(self, key, payload)
+
+    monkeypatch.setattr(SoftHeap, "insert", insert)
+    a = [i / 100.0 for i in range(50)]
+    b = [100.0 + 10.0 * j for j in range(4)]
+    node = PairSumNode(LeafGenerator(a, 1.2), LeafGenerator(b, 1.2), 1.2)
+    while node.has_more_layers():
+        node.generate_next_layer()
+    assert len(inserted) == 200
+    assert hashlib.sha256(repr(inserted).encode()).hexdigest() == (
+        "2d182fe4d4f02e36eddeecd4a0b053fde21a2f32a4167246cdd958be282e034d")
 
 
 # -- invariant checks under python -O -------------------------------------------
