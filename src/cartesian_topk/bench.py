@@ -4,7 +4,7 @@ Synthetic inputs come from NumPy's PCG64 generator, so a (distribution,
 m, n, seed) quadruple reproduces bit-identical arrays on any platform.
 Memory behaviour is reported through internal counters (peak fringe
 size, values generated, soft-heap corruption) rather than an external
-profiler.
+profiler.  ``run`` returns the rows as dicts; ``render_csv`` writes them.
 """
 
 from __future__ import annotations
@@ -127,13 +127,7 @@ _BASE_COLUMNS = ("algorithm", "m", "n", "k", "alpha", "distribution", "seed",
                  "corrupted_count", "fringe_peak")
 
 
-@dataclass
-class BenchReport:
-    rows: list[dict]
-    violations: list[str]
-
-
-def run(config: BenchConfig) -> BenchReport:
+def run(config: BenchConfig) -> list[dict]:
     """Execute the configured benchmark; one row per (algorithm, replicate).
 
     Every algorithm of a replicate is timed before any is validated.  The
@@ -141,7 +135,7 @@ def run(config: BenchConfig) -> BenchReport:
     the oracle runs at most once per replicate.
     """
     config.check()
-    report = BenchReport(rows=[], violations=[])
+    rows: list[dict] = []
     # A file is read once; every replicate runs on the same arrays.
     arrays = ingest_file(config.input_file) if config.distribution == "file" else None
 
@@ -175,20 +169,16 @@ def run(config: BenchConfig) -> BenchReport:
             if config.stats:
                 row.update((f"pops_level_{level}", pops)
                            for level, pops in stats.pops_per_level.items())
-            report.rows.append(row)
+            rows.append(row)
 
         if config.validate:
             oracle = results.get("brute-force")
             if oracle is None and feasible:
                 oracle = brute_force_select(arrays, config.k, guard=config.guard)
-            for row, result in zip(report.rows[-len(results):], results.values()):
+            for row, result in zip(rows[-len(results):], results.values()):
                 row["validated"] = ("skipped" if oracle is None
                                     else "ok" if result.values == oracle.values else "fail")
-                if row["validated"] == "fail":
-                    report.violations.append(
-                        f"{row['algorithm']} disagrees with brute force "
-                        f"(m={len(arrays)}, k={config.k}, seed={rep_seed})")
-    return report
+    return rows
 
 
 def csv_header(max_level: int) -> list[str]:
@@ -203,14 +193,14 @@ def _format_cell(value) -> str:
     return "" if value is None else str(value)
 
 
-def render_csv(report: BenchReport) -> str:
+def render_csv(rows: list[dict]) -> str:
     # A row holds the base columns, then pops_level_0.. down to its tree's deepest level.
-    levels = max(map(len, report.rows), default=len(_BASE_COLUMNS)) - len(_BASE_COLUMNS)
+    levels = max(map(len, rows), default=len(_BASE_COLUMNS)) - len(_BASE_COLUMNS)
     header = csv_header(levels - 1)
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(header)
-    for row in report.rows:
+    for row in rows:
         writer.writerow([_format_cell(row.get(col)) for col in header])
     return buf.getvalue()
 

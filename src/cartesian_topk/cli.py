@@ -98,7 +98,7 @@ def main(argv: list[str] | None = None) -> int:
                 write_gnuplot_script(path, ns.output)
                 path = ns.output
             try:
-                report = run(config)
+                rows = run(config)
             except InputParseError as exc:
                 print(f"parse error: {exc}", file=sys.stderr)
                 return EXIT_PARSE
@@ -113,16 +113,16 @@ def main(argv: list[str] | None = None) -> int:
                 print("memory error: the run needs more memory than is available; "
                       "lower --k, --m or --n", file=sys.stderr)
                 return EXIT_USAGE
-            out.write(render_csv(report))
+            out.write(render_csv(rows))
     except OSError as exc:
         print(f"output error: {path or 'stdout'}: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    if report.violations:
-        for line in report.violations:
-            print(f"validation failure: {line}", file=sys.stderr)
-        return EXIT_VALIDATION
-    return EXIT_OK
+    failed = [row for row in rows if row["validated"] == "fail"]
+    for row in failed:
+        print(f"validation failure: {row['algorithm']} disagrees with brute force "
+              f"(m={row['m']}, k={row['k']}, seed={row['seed']})", file=sys.stderr)
+    return EXIT_VALIDATION if failed else EXIT_OK
 
 
 if __name__ == "__main__":

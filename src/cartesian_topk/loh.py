@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ContractViolation, ParameterError
-from .select1d import AscendingPrefix
+from .select1d import AscendingPrefix, checked_k
 
 
 class LayerSchedule:
@@ -82,16 +82,6 @@ class LayerSchedule:
         self._check_layer(i)
         prev = self._totals[i - 2] if i > 1 else 0
         return self._totals[i - 1] - prev
-
-    def layer_of(self, pos: int) -> tuple[int, int]:
-        """Map a 1-based flat position to (layer index, 1-based offset)."""
-        if pos < 1 or pos > self.n:
-            raise ContractViolation(f"position {pos} outside [1, {self.n}]")
-        if self._totals[-1] < pos:
-            self._extend(0, pos)
-        i = bisect_left(self._totals, pos)
-        prev = self._totals[i - 1] if i > 0 else 0
-        return i + 1, pos - prev
 
     def child_positions(self, pos: int) -> tuple[int, ...]:
         """Flat positions of the children of ``pos``: ``children_of`` plus the
@@ -155,10 +145,6 @@ class LayerOrderedHeap:
     def __init__(self, values: list, schedule: LayerSchedule):
         self.values = values
         self.schedule = schedule
-
-    @property
-    def num_layers(self) -> int:
-        return self.schedule.num_layers
 
     def layer(self, i: int) -> list:
         """The values of layer i (copy; intra-layer order is arbitrary)."""
@@ -229,7 +215,7 @@ def select_k_loh(values: Sequence[float], k: int, alpha: float) -> list:
     """
     LayerSchedule(alpha, 1)  # the alpha check, also when k = n needs no layers
     vals = list(values)
-    n = len(vals)
+    n, k = len(vals), checked_k(k)
     if k < 1 or k > n:
         raise ContractViolation(f"k={k} outside [1, {n}]")
 
@@ -243,7 +229,7 @@ def select_k_loh(values: Sequence[float], k: int, alpha: float) -> list:
         heap = lohify(segment, alpha)
         acc = 0
         overshoot = None
-        for i in range(1, heap.num_layers + 1):
+        for i in range(1, heap.schedule.num_layers + 1):
             layer = heap.layer(i)
             if acc + len(layer) <= need:
                 out.extend(layer)

@@ -23,7 +23,7 @@ from typing import Sequence
 
 from .errors import ContractViolation
 from .loh import LayerSchedule, LohGenerator
-from .select1d import select_k, split_smallest
+from .select1d import checked_k, require_finite, select_k, split_smallest
 from .soft_heap import SoftHeap, pop_and_pool
 
 DEFAULT_EPSILON = 0.25
@@ -37,11 +37,11 @@ def soft_select_pairwise(a: Sequence[float], b: Sequence[float], k: int, *,
     corrupted candidate contributes its true value to a pool and proposes
     its children, and the answer is an exact 1-D selection over the pool.
     """
-    heap_a = list(a)
-    heap_b = list(b)
+    heap_a, heap_b = list(a), list(b)
     if not heap_a or not heap_b:
         raise ContractViolation("both inputs must be nonempty")
-    total = len(heap_a) * len(heap_b)
+    require_finite(heap_a + heap_b, "a and b")
+    total, k = len(heap_a) * len(heap_b), checked_k(k)
     if k < 1 or k > total:
         raise ContractViolation(f"k={k} outside [1, {total}]")
     # heapq order gives a[i] <= a[2i], a[2i+1] in 1-based terms.
@@ -74,7 +74,7 @@ def soft_select_pairwise(a: Sequence[float], b: Sequence[float], k: int, *,
 
 
 def concatenation_select(gen_a: LohGenerator, gen_b: LohGenerator, k: int,
-                         offset_a: float = 0.0, offset_b: float = 0.0) -> tuple[int, int]:
+                         offset_a: float = 0.0, offset_b: float = 0.0) -> None:
     """Generate layers until the k-selection on A|B is covered.
 
     Alternately generates a layer for whichever side has the smaller
@@ -83,7 +83,7 @@ def concatenation_select(gen_a: LohGenerator, gen_b: LohGenerator, k: int,
     until it accumulates the last layer size of the larger-max side,
     stopping early once its maximum catches up.  Exhausted sides are
     skipped; with both sides exhausted the call returns with everything
-    generated.  Returns the two layer counts.
+    generated.  Each side's ``layer_count`` tells how far it went.
 
     ``offset_a``/``offset_b`` are subtracted from the respective maxima in
     every comparison, letting callers compare the two sides on a common
@@ -95,7 +95,7 @@ def concatenation_select(gen_a: LohGenerator, gen_b: LohGenerator, k: int,
         a_more = gen_a.has_more_layers()
         b_more = gen_b.has_more_layers()
         if not a_more and not b_more:
-            return gen_a.layer_count, gen_b.layer_count
+            return
         if not a_more:
             gen_b.generate_next_layer()
         elif not b_more:
@@ -108,7 +108,7 @@ def concatenation_select(gen_a: LohGenerator, gen_b: LohGenerator, k: int,
     max_a = gen_a.max_generated() - offset_a
     max_b = gen_b.max_generated() - offset_b
     if max_a == max_b:
-        return gen_a.layer_count, gen_b.layer_count
+        return
     if max_a < max_b:
         small, small_off, big, big_off = gen_a, offset_a, gen_b, offset_b
     else:
@@ -120,7 +120,6 @@ def concatenation_select(gen_a: LohGenerator, gen_b: LohGenerator, k: int,
         accumulated += small.size_of_last_layer()
         if small.max_generated() - small_off >= big.max_generated() - big_off:
             break
-    return gen_a.layer_count, gen_b.layer_count
 
 
 class PairSumNode(LohGenerator):
@@ -139,7 +138,9 @@ class PairSumNode(LohGenerator):
     each output layer by: covering the child prefixes via concatenation
     selection, reviving purgatory pairs whose blocking side has grown, one
     counted extraction per output slot (``pop_and_pool``), and an exact
-    1-D selection over the values settled plus those carried over.
+    1-D selection over the values settled plus those carried over.  So
+    ``proposed_total`` is the heap's inserts plus the parked pairs, and
+    ``processed_total`` the generated values plus the carry-over.
 
     Settled corrupted items stay in the heap, yet each layer is exact.
     Take any cell x not yet pooled and not behind a parked pair (the
@@ -150,8 +151,7 @@ class PairSumNode(LohGenerator):
     """
 
     __slots__ = ("left", "right", "soft_heap", "purgatory_a", "purgatory_b",
-                 "carryover", "_seen_a", "_seen_b", "pops_total", "proposed_total",
-                 "processed_total", "_debug_cells")
+                 "carryover", "_seen_a", "_seen_b", "pops_total", "_debug_cells")
 
     def __init__(self, left: LohGenerator, right: LohGenerator, alpha: float,
                  debug_accounting: bool = False):
@@ -164,10 +164,8 @@ class PairSumNode(LohGenerator):
         self.carryover: list = []
         self._seen_a = left.generated_count
         self._seen_b = right.generated_count
-        # Lifetime totals; soft_heap counts its own corruption and peak size.
+        # Lifetime total; soft_heap counts its own inserts, corruption and peak.
         self.pops_total = 0
-        self.proposed_total = 0
-        self.processed_total = 0
         self._debug_cells = set() if debug_accounting else None
         self._propose(1, 1)
         self.generate_next_layer()
@@ -187,7 +185,6 @@ class PairSumNode(LohGenerator):
 
     def _settle(self, cell) -> None:
         ia, ib = cell
-        self.processed_total += 1
         if ib == 1:
             for ca in self.left.schedule.child_positions(ia):
                 self._propose(ca, 1)
@@ -200,7 +197,6 @@ class PairSumNode(LohGenerator):
             if (ia, ib) in self._debug_cells:
                 raise AssertionError(f"pair {(ia, ib)} proposed twice")
             self._debug_cells.add((ia, ib))
-        self.proposed_total += 1
         self._admit(ia, ib)
 
     def _admit(self, ia: int, ib: int) -> None:
@@ -230,3 +226,11 @@ class PairSumNode(LohGenerator):
 
     def parked_count(self) -> int:
         return len(self.purgatory_a) + len(self.purgatory_b)
+
+    @property
+    def proposed_total(self) -> int:
+        return self.soft_heap.insert_count + self.parked_count()
+
+    @property
+    def processed_total(self) -> int:  # read between layers
+        return self.generated_count + len(self.carryover)

@@ -20,11 +20,32 @@ from ``selectors._checked``.
 
 from __future__ import annotations
 
+import operator
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ContractViolation
+from .errors import ContractViolation, ParameterError
+
+
+def checked_k(k) -> int:
+    """k as an int, NumPy integers included; a bool or a fraction is refused."""
+    try:  # a bool is refused like np.bool_, which has no __index__
+        return operator.index(None if isinstance(k, bool) else k)
+    except TypeError:
+        raise ContractViolation(f"k={k!r} is not an integer") from None
+
+
+def require_finite(values: Sequence[float], name: str = "values") -> None:
+    """Reject NaN/Inf at the library boundary, one vectorized pass over float64."""
+    try:
+        values = np.asarray(values, dtype=np.float64)
+    except OverflowError:  # an int past float range
+        raise ContractViolation(f"{name} must convert to float64") from None
+    finite = np.isfinite(values)
+    if not finite.all():
+        bad = float(values[~finite][0])
+        raise ParameterError(f"{name} must contain only finite numbers, got {bad!r}")
 
 
 def split_smallest(values: Sequence[float], k: int) -> tuple[list, list]:
@@ -42,7 +63,7 @@ def split_smallest(values: Sequence[float], k: int) -> tuple[list, list]:
 def select_k(values: Sequence[float], k: int) -> list:
     """Return the k smallest values (by multiplicity) in ascending order: one
     ``np.partition`` at k unless k == n, then a sort of the kept part."""
-    n = len(values)
+    n, k = len(values), checked_k(k)
     if k < 1 or k > n:
         raise ContractViolation(f"k={k} outside [1, {n}]")
     return np.sort(np.partition(values, k)[:k] if k < n else values).tolist()

@@ -32,7 +32,6 @@ from __future__ import annotations
 import heapq
 import math
 import numbers
-import operator
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -41,7 +40,7 @@ import numpy as np
 from .errors import ContractViolation, GuardError, ParameterError
 from .loh import LeafGenerator, LohGenerator
 from .pairwise import PairSumNode, soft_select_pairwise
-from .select1d import AscendingPrefix, select_k
+from .select1d import AscendingPrefix, checked_k, require_finite, select_k
 from .soft_heap import SoftHeap, pop_and_pool
 
 DEFAULT_GUARD = 10_000_000
@@ -106,25 +105,11 @@ class RunStats:
     generated_per_level: dict[int, int] = field(default_factory=dict)
 
 
-def require_finite(values: np.ndarray, name: str = "values") -> None:
-    """Reject NaN/Inf at the library boundary, one vectorized pass per axis."""
-    finite = np.isfinite(values)
-    if not finite.all():
-        bad = float(values[~finite][0])
-        raise ParameterError(f"{name} must contain only finite numbers, got {bad!r}")
-
-
 def _checked(arrays: Sequence[Sequence[float]], k: int) -> tuple[list[np.ndarray], int]:
     """The input boundary: each axis (a row, for a 2-D ndarray) converted once
-    to a finite, nonempty 1-D float64 array, and k to an int (NumPy integers
-    included, bools refused) with 1 <= k <= cells; the sum over axes of max |x|
-    must be finite, so no sum of one value per axis overflows."""
-    try:
-        if isinstance(k, bool):  # refused like np.bool_, which has no __index__
-            raise TypeError
-        k = operator.index(k)
-    except TypeError:
-        raise ContractViolation(f"k={k!r} is not an integer") from None
+    to a finite, nonempty 1-D float64 array, k by ``checked_k`` into [1, cells],
+    and the sum over axes of max |x| finite, so no cell's sum overflows."""
+    k = checked_k(k)
     if len(arrays) == 0:
         raise ContractViolation("need at least one input array")
     axes = []

@@ -93,41 +93,41 @@ def test_ingest_empty_file(tmp_path):
 
 def test_run_all_six_rows_validated():
     cfg = BenchConfig(algorithm="all", m=4, n=4, k=10, seed=1, validate=True)
-    report = run(cfg)
-    assert len(report.rows) == 6
-    assert {row["algorithm"] for row in report.rows} == {
+    rows = run(cfg)
+    assert len(rows) == 6
+    assert {row["algorithm"] for row in rows} == {
         "soft-tensor", "soft-tree", "sort-tensor", "sort-tree",
         "fast-soft-tree", "brute-force"}
-    assert all(row["validated"] == "ok" for row in report.rows)
-    assert not report.violations
+    assert all(row["validated"] == "ok" for row in rows)
 
 
 def test_run_determinism_modulo_wall_time():
     cfg = BenchConfig(algorithm="all", m=3, n=5, k=7, seed=9, replicates=3,
                       validate=True, stats=True)
     r1, r2 = run(cfg), run(cfg)
-    for a, b in zip(r1.rows, r2.rows):
+    assert len(r1) == len(r2) == 18
+    for a, b in zip(r1, r2):
         a = {k: v for k, v in a.items() if k != "wall_time_ns"}
         b = {k: v for k, v in b.items() if k != "wall_time_ns"}
         assert a == b
-    assert render_csv(r1).count("\n") == len(r1.rows) + 1  # header + rows
+    assert render_csv(r1).count("\n") == len(r1) + 1  # header + rows
 
 
 def test_run_root_pops_equal_k():
     cfg = BenchConfig(algorithm="sort-tree", m=8, n=8, k=17, stats=True)
-    report = run(cfg)
-    assert report.rows[0]["pops_level_0"] == 17
+    rows = run(cfg)
+    assert rows[0]["pops_level_0"] == 17
 
 
 def test_run_all_skips_infeasible_oracle_row():
     cfg = BenchConfig(algorithm="all", m=16, n=8, k=6)  # 8^16 cells >> guard
-    report = run(cfg)
-    assert len(report.rows) == 5
-    assert "brute-force" not in {row["algorithm"] for row in report.rows}
+    rows = run(cfg)
+    assert len(rows) == 5
+    assert "brute-force" not in {row["algorithm"] for row in rows}
+    assert [row["validated"] for row in rows] == [""] * 5  # not asked to validate
     # asked to validate, every row says it could not be checked, and none failed
-    report = run(BenchConfig(algorithm="all", m=16, n=8, k=6, validate=True))
-    assert [row["validated"] for row in report.rows] == ["skipped"] * 5
-    assert report.violations == []
+    rows = run(BenchConfig(algorithm="all", m=16, n=8, k=6, validate=True))
+    assert [row["validated"] for row in rows] == ["skipped"] * 5
 
 
 def test_run_k_too_large():
@@ -146,10 +146,10 @@ def test_run_reads_input_file_once(tmp_path, monkeypatch):
         return ingest_file(path)
 
     monkeypatch.setattr(bench, "ingest_file", counting)
-    report = run(BenchConfig(algorithm="sort-tree", distribution="file",
-                             input_file=str(p), k=3, replicates=3))
+    rows = run(BenchConfig(algorithm="sort-tree", distribution="file",
+                           input_file=str(p), k=3, replicates=3))
     assert calls == [str(p)]
-    assert len(report.rows) == 3
+    assert len(rows) == 3
 
 
 def test_run_validation_detects_fault(monkeypatch):
@@ -163,9 +163,8 @@ def test_run_validation_detects_fault(monkeypatch):
 
     # run() looks the selector up in the registry on every call
     monkeypatch.setitem(selectors.SELECTORS, "sort-tree", broken)
-    report = run(BenchConfig(algorithm="sort-tree", m=3, n=3, k=4, validate=True))
-    assert report.violations
-    assert report.rows[0]["validated"] == "fail"
+    rows = run(BenchConfig(algorithm="sort-tree", m=3, n=3, k=4, validate=True, replicates=2))
+    assert [row["validated"] for row in rows] == ["fail", "fail"]
 
 
 def test_csv_header_fixed_order():
@@ -313,8 +312,11 @@ def test_cli_validation_failure_exit_code(tmp_path, monkeypatch, capsys):
     code = main(["--algorithm", "soft-tree", "--m", "2", "--n", "4", "--k", "3",
                  "--validate"])
     assert code == 3
-    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    captured = capsys.readouterr()
+    rows = list(csv.DictReader(io.StringIO(captured.out)))
     assert [row["validated"] for row in rows] == ["fail"]
+    assert captured.err == ("validation failure: soft-tree disagrees with brute force "
+                            "(m=2, k=3, seed=0)\n")
 
 
 def test_cli_validation_checks_order(monkeypatch, capsys):

@@ -1,4 +1,5 @@
 import random
+from bisect import bisect_left
 from collections import Counter
 
 import numpy as np
@@ -64,15 +65,16 @@ def test_schedule_ratio_convergence():
 
 
 def test_layer_of_roundtrip():
-    sched = LayerSchedule(1.3, 500)
-    pos = 1
-    for i in range(1, sched.num_layers + 1):
-        for off in range(1, sched.size(i) + 1):
-            assert sched.layer_of(pos) == (i, off)
-            pos += 1
-    for pos in (0, 501):
-        with pytest.raises(ContractViolation):
-            sched.layer_of(pos)
+    # a flat position outside [1, n] is refused, on a fresh schedule and on
+    # one whose totals are all computed; the first and the last are not
+    fresh, full = LayerSchedule(1.3, 500), LayerSchedule(1.3, 500)
+    assert full.total(full.num_layers) == 500
+    for sched in (fresh, full):
+        for pos in (0, 501):
+            with pytest.raises(ContractViolation, match=f"position {pos} outside"):
+                sched.child_positions(pos)
+        assert sched.child_positions(1) == (2,)
+        assert sched.child_positions(500) == ()
 
 
 def test_lohify_example():
@@ -125,11 +127,12 @@ def test_layer_refuses_what_is_not_there():
     # layer; a generator, or a heap whose values stop short of its schedule,
     # refuses the first layer it lacks and any layer past the schedule
     h = lohify([5, 3, 7, 1, 6, 2, 4], 1.9)
-    assert [len(h.layer(i)) for i in range(1, h.num_layers + 1)] == [1, 1, 2, 3]
+    layers = h.schedule.num_layers
+    assert [len(h.layer(i)) for i in range(1, layers + 1)] == [1, 1, 2, 3]
     gen = LeafGenerator([5, 3, 7, 1, 6, 2, 4], 1.9)
     gen.generate_next_layer()
     assert gen.layer(2) == [2.0]
-    for heap, missing in ((gen, 3), (gen, gen.num_layers + 1), (h, h.num_layers + 1)):
+    for heap, missing in ((gen, 3), (gen, layers + 1), (h, layers + 1)):
         with pytest.raises(ContractViolation):
             heap.layer(missing)
     short = LayerOrderedHeap([1.0, 2.0, 3.0], LayerSchedule(1.9, 4))  # sizes [1, 1, 2]
@@ -189,18 +192,22 @@ def test_child_positions_match_children_of(alpha):
     # flat-position children equal the layer offset map of children_of,
     # truncated to n, on fresh schedules that extend their totals lazily:
     # asked in order, each call extends one layer ahead; asked a far
-    # position first, layer_of and child_positions jump ahead to cover it
+    # position first, child_positions jumps ahead to cover it.  The reference
+    # maps a position to its layer by bisecting the totals it asks for.
     for n in [*range(1, 121), 10**30]:
         sched, ref = LayerSchedule(alpha, n), LayerSchedule(alpha, n)
+        totals = [0]
         for pos in range(1, min(n, 3000) + 1):
-            layer, offset = ref.layer_of(pos)
+            while totals[-1] < pos:
+                totals.append(ref.total(len(totals)))
+            layer = bisect_left(totals, pos)
+            offset = pos - totals[layer - 1]
             want = ()
             if ref.has_layer(layer + 1):
                 base = ref.total(layer)
                 want = tuple(base + c for c in children_of(ref, layer, offset) if base + c <= n)
             assert sched.child_positions(pos) == want, (n, pos)
         for pos in {min(n, 3000), (min(n, 3000) + 1) // 2}:
-            assert LayerSchedule(alpha, n).layer_of(pos) == ref.layer_of(pos), (n, pos)
             assert LayerSchedule(alpha, n).child_positions(pos) == sched.child_positions(pos), (n, pos)
     if alpha == 1.1:  # position 5000 asked first, as walked in order it gives 5540
         assert LayerSchedule(alpha, 10**6).child_positions(5000) == (5540,)
@@ -216,7 +223,7 @@ def test_prefix_layers_match_selection():
     vals = [rng.random() for _ in range(500)]
     h = lohify(vals, 1.3)
     expected = sorted(vals)
-    for i in range(1, h.num_layers + 1):
+    for i in range(1, h.schedule.num_layers + 1):
         t = h.schedule.total(i)
         assert sorted(h.values[:t]) == expected[:t]
 
@@ -271,7 +278,7 @@ def test_schedule_totals_on_demand():
     small = LayerSchedule(1.1, 10**6)
     assert huge.total(40) == small.total(40)
     assert huge.size(40) == small.size(40)
-    assert huge.layer_of(small.total(40)) == small.layer_of(small.total(40))
+    assert huge.child_positions(small.total(40)) == small.child_positions(small.total(40))
     assert children_of(huge, 40, 1) == children_of(small, 40, 1)
     assert huge.has_layer(41) and not huge.has_layer(0)
     with pytest.raises(ContractViolation):

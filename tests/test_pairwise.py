@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from cartesian_topk import (ContractViolation, LeafGenerator, PairSumNode,
+from cartesian_topk import (ContractViolation, LeafGenerator, PairSumNode, ParameterError,
                             concatenation_select, soft_select_pairwise, verify_loh)
 from cartesian_topk.loh import LohGenerator
 from cartesian_topk.pairwise import DEFAULT_EPSILON
@@ -77,6 +77,17 @@ def test_pairwise_k_range_checks():
         soft_select_pairwise([1, 2], [1], 3)
     with pytest.raises(ContractViolation):
         soft_select_pairwise([], [1], 1)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_pairwise_refuses_non_finite(bad):
+    # like every selector's input boundary, on either side
+    for a, b in (([1.0, bad], [3.0, 4.0]), ([3.0, 4.0], np.array([bad, 1.0]))):
+        with pytest.raises(ParameterError, match=f"finite numbers, got {bad!r}"):
+            soft_select_pairwise(a, b, 2)
+    assert soft_select_pairwise([2**70, 3], [1, 2], 2) == [4, 5]  # ints past int64 are finite
+    with pytest.raises(ContractViolation, match="must convert to float64"):
+        soft_select_pairwise([10**400], [1], 1)  # an int past float range, as at the boundary
 
 
 def test_pairwise_exhaustive_tiny():
@@ -183,10 +194,10 @@ def test_sibling_source_count_bound():
 def test_concat_trace_example():
     gen_a = StubGenerator([[1], [2, 3]])
     gen_b = StubGenerator([[10], [20, 30]])
-    layers = concatenation_select(gen_a, gen_b, 2)
+    assert concatenation_select(gen_a, gen_b, 2) is None
     # u = 2 >= k after the first layers; max(A1)=1 < max(B1)=10, so A
     # generates its second layer and stops (budget |B last| = 1 reached)
-    assert layers == (2, 1)
+    assert (gen_a.layer_count, gen_b.layer_count) == (2, 1)
     generated = gen_a.layer(1) + gen_a.layer(2) + gen_b.layer(1)
     assert set(sorted([1, 2])) <= set(generated)  # 2-selection on A|B covered
 
@@ -194,7 +205,8 @@ def test_concat_trace_example():
 def test_concat_identical_generators_immediate():
     gen_a = StubGenerator([[5], [6, 7]])
     gen_b = StubGenerator([[5], [6, 7]])
-    assert concatenation_select(gen_a, gen_b, 1) == (1, 1)
+    concatenation_select(gen_a, gen_b, 1)
+    assert (gen_a.layer_count, gen_b.layer_count) == (1, 1)
     with pytest.raises(ContractViolation):
         concatenation_select(gen_a, gen_b, 0)
 
@@ -202,7 +214,9 @@ def test_concat_identical_generators_immediate():
 def test_concat_exhaustion_returns_everything():
     gen_a = StubGenerator([[1]])
     gen_b = StubGenerator([[2]])
-    assert concatenation_select(gen_a, gen_b, 10) == (1, 1)
+    concatenation_select(gen_a, gen_b, 10)
+    assert (gen_a.layer_count, gen_b.layer_count) == (1, 1)
+    assert gen_a.generated_count + gen_b.generated_count == 2
 
 
 def test_concat_covers_k_selection():
@@ -268,9 +282,8 @@ def test_node_layers_match_brute_prefixes():
         full = sorted(x + y for x in a for y in b)
         while node.has_more_layers():
             node.generate_next_layer()
-            # conservation: every proposed pair is accounted for exactly once
-            assert node.proposed_total == heap.insert_count + node.parked_count()
-            assert node.processed_total == node.generated_count + len(node.carryover)
+            # conservation: every proposed pair is inserted or parked, never both
+            assert len(node._debug_cells) == heap.insert_count + node.parked_count()
             # the node's one soft heap keeps its corruption bound for life
             assert heap.corrupted_count <= DEFAULT_EPSILON * heap.insert_count
         assert sorted(node.values) == full

@@ -1,11 +1,16 @@
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from cartesian_topk import ContractViolation, ParameterError, select_k, select_k_loh
+from cartesian_topk import (ContractViolation, ParameterError, select_k, select_k_loh,
+                            soft_select_pairwise)
 from cartesian_topk.select1d import AscendingPrefix, split_smallest
+from cartesian_topk.selectors import _checked
 
 
 def test_singleton():
@@ -159,3 +164,49 @@ def test_loh_select_equals_select_k():
         k = rng.randint(1, n)
         alpha = rng.choice([1.05, 1.1, 1.3, 1.5, 1.9])
         assert Counter(select_k_loh(vals, k, alpha)) == Counter(select_k(vals, k))
+
+
+_K_TAKERS = {
+    "_checked": lambda k: _checked([[3.0, 1.0, 2.0]], k)[1],
+    "select_k": lambda k: select_k([3.0, 1.0, 2.0], k),
+    "select_k_loh": lambda k: sorted(select_k_loh([3.0, 1.0, 2.0], k, 1.5)),
+    "soft_select_pairwise": lambda k: soft_select_pairwise([3.0, 1.0, 2.0], [0.0], k),
+}
+_NOT_INTEGERS = (1.5, 2.5, 2.0, True, np.bool_(True), "2")
+
+
+@pytest.mark.parametrize("name", sorted(_K_TAKERS))
+def test_k_must_be_an_integer(name):
+    # every entry point that takes k converts it the same way: an integer of
+    # any kind is accepted, a bool or a fraction is refused before the range.
+    # A fractional k could keep select_k_loh running, so its fractions are
+    # tried in a child interpreter below.
+    take = _K_TAKERS[name]
+    assert take(np.int64(2)) == take(2)
+    for k in _NOT_INTEGERS:
+        if name == "select_k_loh" and isinstance(k, float):
+            continue
+        with pytest.raises(ContractViolation, match="is not an integer"):
+            take(k)
+
+
+def test_loh_select_fractional_k_returns():
+    # a fractional k once left select_k_loh re-layering a one-value overshoot
+    # forever; a child interpreter with a timeout turns a hang into a failure
+    import cartesian_topk
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cartesian_topk.__file__)))
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    code = ("from cartesian_topk import ContractViolation, select_k_loh\n"
+            "for k in (2.5, 1.5, 2.0):\n"
+            "    try:\n"
+            "        select_k_loh([3.0, 1.0, 2.0], k, 1.5)\n"
+            "    except ContractViolation as exc:\n"
+            "        print(exc)\n")
+    try:
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+                              timeout=60)
+    except subprocess.TimeoutExpired:
+        pytest.fail("select_k_loh with a fractional k did not return within 60 s")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [f"k={k} is not an integer" for k in (2.5, 1.5, 2.0)]
