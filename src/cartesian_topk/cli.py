@@ -22,10 +22,10 @@ EXIT_USAGE = 1
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 
-# The BenchConfig fields that flags set, with their defaults: all but the guard.
+# The BenchConfig fields that flags set, all but the guard; a flag not given is None.
 _SETTINGS = [f for f in fields(BenchConfig) if f.default is not MISSING]
-# Fields that size generated inputs: unset (None) unless given, so that one
-# given with distribution 'file', which would ignore it, can be refused.
+# Fields that size generated inputs: one given with distribution 'file',
+# which would ignore it, is refused.
 _SIZES = ("m", "n")
 
 
@@ -59,7 +59,6 @@ def build_parser() -> _Parser:
     parser.add_argument("--output", help="CSV path (default: stdout)")
     parser.add_argument("--emit-gnuplot", metavar="PATH",
                         help="also write a gnuplot script for the CSV")
-    parser.set_defaults(**{f.name: f.default for f in _SETTINGS if f.name not in _SIZES})
     return parser
 
 

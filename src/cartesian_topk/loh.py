@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ContractViolation, ParameterError
-from .select1d import AscendingPrefix, checked_k
+from .select1d import AscendingPrefix, checked_axis, checked_k, require_finite
 
 
 class LayerSchedule:
@@ -46,12 +46,10 @@ class LayerSchedule:
     __slots__ = ("alpha", "n", "_totals")
 
     def __init__(self, alpha: float, n: int):
-        if not (isinstance(alpha, numbers.Real) and 1.0 < alpha < 2.0):
+        if isinstance(alpha, bool) or not (isinstance(alpha, numbers.Real) and 1.0 < alpha < 2.0):
             raise ParameterError(f"alpha must be a real number in (1, 2), got {alpha!r}")
-        if n < 1:
-            raise ContractViolation(f"n must be positive, got {n}")
         self.alpha = alpha
-        self.n = n
+        self.n = checked_k(n, math.inf, name="n")
         self._totals = [1]
 
     @property
@@ -124,12 +122,11 @@ def children_of(schedule: LayerSchedule, i: int, j: int) -> tuple[int, ...]:
     images are disjoint and cover 1..c' exactly.  Callers reading a
     truncated final layer must bounds-check the returned offsets.
     """
-    if i < 1 or not schedule.has_layer(i + 1):
+    if not schedule.has_layer(checked_k(i, math.inf, name="i") + 1):
         raise ContractViolation(f"layer {i + 1} does not exist in the schedule")
     c = schedule.full_size(i)
     c_next = schedule.full_size(i + 1)
-    if j < 1 or j > c:
-        raise ContractViolation(f"offset {j} outside [1, {c}] in layer {i}")
+    j = checked_k(j, c, name="j")
     two_child = c_next - c  # one-child count is 2c - c', so this many get two
     if j <= two_child:
         return (2 * j - 1, 2 * j)
@@ -162,9 +159,9 @@ def lohify(values: Sequence[float], alpha: float) -> LayerOrderedHeap:
     O(n log(1/(alpha-1))) instead of the O(n * #layers) of a
     left-to-right sweep.
     """
-    vals = list(values)
-    if not vals:
-        raise ContractViolation("cannot lohify an empty sequence")
+    axis = checked_axis(values, "values")
+    require_finite(axis, "values")
+    vals = axis.tolist()
     schedule = LayerSchedule(alpha, len(vals))
     bounds = [schedule.total(i) for i in range(1, schedule.num_layers)]
     _multi_split(vals, 0, len(vals), bounds, 0, len(bounds))
@@ -214,13 +211,12 @@ def select_k_loh(values: Sequence[float], k: int, alpha: float) -> list:
     r(k) = k + r((alpha - 1) * k).
     """
     LayerSchedule(alpha, 1)  # the alpha check, also when k = n needs no layers
-    vals = list(values)
-    n, k = len(vals), checked_k(k)
-    if k < 1 or k > n:
-        raise ContractViolation(f"k={k} outside [1, {n}]")
+    axis = checked_axis(values, "values")
+    require_finite(axis, "values")
+    k = checked_k(k, axis.size)
 
     out: list = []
-    segment = vals
+    segment = axis.tolist()
     need = k
     while need > 0:
         if need >= len(segment):
@@ -297,8 +293,9 @@ class LohGenerator(LayerOrderedHeap):
 class LeafGenerator(LohGenerator):
     """Generator over a fixed axis that slices its ascending prefix into layers.
 
-    ``values`` is an ``AscendingPrefix``, or a sequence whose float64 copy
-    is read into one, so later changes to the caller's sequence never reach it.
+    ``values`` is an ``AscendingPrefix``, or a sequence checked like a
+    selector's axis whose float64 copy is read into one, so later changes
+    to the caller's sequence never reach it.
     Each layer is the next ``schedule.size(i)`` values of the prefix, so
     the generated prefix is sorted, a valid layer order at any alpha.
     The constructor makes the first layer.
@@ -307,12 +304,12 @@ class LeafGenerator(LohGenerator):
     __slots__ = ("_axis",)
 
     def __init__(self, values: Sequence[float] | AscendingPrefix, alpha: float):
-        axis = values if isinstance(values, AscendingPrefix) else AscendingPrefix(
-            np.array(values, dtype=np.float64))
-        if not axis.n:
-            raise ContractViolation("cannot generate layers from an empty sequence")
-        super().__init__(LayerSchedule(alpha, axis.n))
-        self._axis = axis
+        if not isinstance(values, AscendingPrefix):
+            values = checked_axis(values, "values")
+            require_finite(values, "values")
+            values = AscendingPrefix(values.copy())
+        super().__init__(LayerSchedule(alpha, values.n))
+        self._axis = values
         self.generate_next_layer()
 
     def _next_layer(self, end: int) -> list:

@@ -19,11 +19,11 @@ generated enough layers.
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Sequence
 
-from .errors import ContractViolation
 from .loh import LayerSchedule, LohGenerator
-from .select1d import checked_k, require_finite, select_k, split_smallest
+from .select1d import checked_axis, checked_k, require_finite, select_k, split_smallest
 from .soft_heap import SoftHeap, pop_and_pool
 
 DEFAULT_EPSILON = 0.25
@@ -36,14 +36,13 @@ def soft_select_pairwise(a: Sequence[float], b: Sequence[float], k: int, *,
     Pops k candidates from a soft heap seeded at (1, 1); every popped or
     corrupted candidate contributes its true value to a pool and proposes
     its children, and the answer is an exact 1-D selection over the pool.
+    Each input is checked like a selector's axis, so the sums are float64.
     """
-    heap_a, heap_b = list(a), list(b)
-    if not heap_a or not heap_b:
-        raise ContractViolation("both inputs must be nonempty")
-    require_finite(heap_a + heap_b, "a and b")
-    total, k = len(heap_a) * len(heap_b), checked_k(k)
-    if k < 1 or k > total:
-        raise ContractViolation(f"k={k} outside [1, {total}]")
+    axis_a, axis_b = checked_axis(a, "a"), checked_axis(b, "b")
+    require_finite(axis_a, "a")
+    require_finite(axis_b, "b")
+    k = checked_k(k, axis_a.size * axis_b.size)
+    heap_a, heap_b = axis_a.tolist(), axis_b.tolist()
     # heapq order gives a[i] <= a[2i], a[2i+1] in 1-based terms.
     heapq.heapify(heap_a)
     heapq.heapify(heap_b)
@@ -89,8 +88,7 @@ def concatenation_select(gen_a: LohGenerator, gen_b: LohGenerator, k: int,
     every comparison, letting callers compare the two sides on a common
     zero point (the pair-sum node passes each side's minimum).
     """
-    if k < 1:
-        raise ContractViolation(f"k must be positive, got {k}")
+    k = checked_k(k, math.inf)
     while gen_a.generated_count + gen_b.generated_count < k:
         a_more = gen_a.has_more_layers()
         b_more = gen_b.has_more_layers()

@@ -12,14 +12,16 @@ it is read, one ``select_k`` per growth; sort-tree's merges offer the
 same ``n``, ``values`` and ``reach``, so a merge reads an axis or another
 merge alike.
 
-Values are compared and returned as the array NumPy builds from them,
-as Python scalars, so a list mixing floats with ints past 2**53 may be
-compared after rounding to float64; every selector passes Python floats
-from ``selectors._checked``.
+``checked_k`` and ``checked_axis`` are the package's one input boundary,
+for counts and for value sequences.  The cuts compare and return values
+as the array NumPy builds from them, as Python scalars, so a list mixing
+floats with ints past 2**53 may be compared after rounding to float64;
+every selector passes Python floats from ``selectors._checked``.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from typing import Sequence
 
@@ -28,20 +30,41 @@ import numpy as np
 from .errors import ContractViolation, ParameterError
 
 
-def checked_k(k) -> int:
-    """k as an int, NumPy integers included; a bool or a fraction is refused."""
-    try:  # a bool is refused like np.bool_, which has no __index__
-        return operator.index(None if isinstance(k, bool) else k)
-    except TypeError:
-        raise ContractViolation(f"k={k!r} is not an integer") from None
+def checked_k(k, high, low: int = 1, name: str = "k") -> int:
+    """``k`` as an int in [low, high] (``high`` may be ``math.inf``), NumPy
+    integers included; a bool, a fraction or a value outside is refused."""
+    if type(k) is not int:  # an exact int needs no conversion, and a bool is not one
+        try:  # bools have __index__, so they are refused by type, NumPy's too
+            k = operator.index(None if isinstance(k, (bool, np.bool_)) else k)
+        except TypeError:
+            raise ContractViolation(f"{name}={k!r} is not an integer") from None
+    if k < low or k > high:
+        raise ContractViolation(f"{name} must be positive, got {k}" if (low, high) == (1, math.inf)
+                                else f"{name}={k} outside [{low}, {high}]")
+    return k
 
 
-def require_finite(values: Sequence[float], name: str = "values") -> None:
-    """Reject NaN/Inf at the library boundary, one vectorized pass over float64."""
+_NOT_REAL = "cUSMm"  # complex, text and time kinds: float64 would drop or invent meaning
+
+
+def checked_axis(values, name: str) -> np.ndarray:
+    """``values`` once as a nonempty 1-D float64 array (a float64 one as it is);
+    complex, text and time values, which would convert, are refused."""
     try:
-        values = np.asarray(values, dtype=np.float64)
-    except OverflowError:  # an int past float range
-        raise ContractViolation(f"{name} must convert to float64") from None
+        raw = np.asarray(values)
+        if raw.dtype.kind in _NOT_REAL or (
+                raw.dtype.kind == "O" and any(isinstance(v, (str, bytes)) for v in raw.flat)):
+            raise TypeError("complex, text or time values are not real numbers")
+        axis = raw.astype(np.float64, copy=False)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ContractViolation(f"{name} must convert to float64: {exc}") from None
+    if axis.ndim != 1 or axis.size == 0:
+        raise ContractViolation(f"{name} must be nonempty and 1-D, got shape {axis.shape}")
+    return axis
+
+
+def require_finite(values: np.ndarray, name: str = "values") -> None:
+    """Reject NaN/Inf in a ``checked_axis`` array, one vectorized pass."""
     finite = np.isfinite(values)
     if not finite.all():
         bad = float(values[~finite][0])
@@ -52,9 +75,7 @@ def split_smallest(values: Sequence[float], k: int) -> tuple[list, list]:
     """Split a sequence into (k smallest ascending, the rest) as fresh lists;
     for 0 < k < n the rest is as one ``np.partition`` at k left it, else the
     rest keeps the input order."""
-    n = len(values)
-    if k < 0 or k > n:
-        raise ContractViolation(f"split point {k} outside [0, {n}]")
+    n, k = len(values), checked_k(k, len(values), low=0)
     vals = np.partition(values, k) if 0 < k < n else np.array(values)
     vals[:k].sort()
     return vals[:k].tolist(), vals[k:].tolist()
@@ -62,11 +83,13 @@ def split_smallest(values: Sequence[float], k: int) -> tuple[list, list]:
 
 def select_k(values: Sequence[float], k: int) -> list:
     """Return the k smallest values (by multiplicity) in ascending order: one
-    ``np.partition`` at k unless k == n, then a sort of the kept part."""
-    n, k = len(values), checked_k(k)
-    if k < 1 or k > n:
-        raise ContractViolation(f"k={k} outside [1, {n}]")
-    return np.sort(np.partition(values, k)[:k] if k < n else values).tolist()
+    ``np.partition`` at k unless k == n, then a sort of the kept part.  The
+    array NumPy builds must be 1-D and real; no finiteness pass, on a hot path."""
+    vals = np.asarray(values)
+    if vals.dtype.kind in _NOT_REAL or vals.ndim != 1:
+        raise ContractViolation(f"values must be 1-D real numbers, got {vals.dtype} {vals.shape}")
+    k = checked_k(k, vals.size)
+    return np.sort(np.partition(vals, k)[:k] if k < vals.size else vals).tolist()
 
 
 class AscendingPrefix:

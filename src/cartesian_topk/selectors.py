@@ -40,7 +40,7 @@ import numpy as np
 from .errors import ContractViolation, GuardError, ParameterError
 from .loh import LeafGenerator, LohGenerator
 from .pairwise import PairSumNode, soft_select_pairwise
-from .select1d import AscendingPrefix, checked_k, require_finite, select_k
+from .select1d import AscendingPrefix, checked_axis, checked_k, require_finite, select_k
 from .soft_heap import SoftHeap, pop_and_pool
 
 DEFAULT_GUARD = 10_000_000
@@ -106,35 +106,17 @@ class RunStats:
 
 
 def _checked(arrays: Sequence[Sequence[float]], k: int) -> tuple[list[np.ndarray], int]:
-    """The input boundary: each axis (a row, for a 2-D ndarray) converted once
-    to a finite, nonempty 1-D float64 array, k by ``checked_k`` into [1, cells],
-    and the sum over axes of max |x| finite, so no cell's sum overflows."""
-    k = checked_k(k)
+    """The input boundary: each axis (a row, for a 2-D ndarray) by ``checked_axis``
+    and ``require_finite``, then k by ``checked_k`` into [1, cells]; the sum over
+    axes of max |x| must be finite, so no cell's sum overflows."""
     if len(arrays) == 0:
         raise ContractViolation("need at least one input array")
     axes = []
-    total = 1
-    reach = 0.0
     for t, a in enumerate(arrays):
-        try:
-            raw = np.asarray(a)
-            # complex, text, datetime and timedelta axes would convert (losing
-            # the imaginary part, parsing text, counting time units): refuse them
-            if raw.dtype.kind in "cUSMm" or (
-                    raw.dtype.kind == "O" and any(isinstance(v, (str, bytes)) for v in raw.flat)):
-                raise TypeError("complex, text or time values are not real numbers")
-            axis = raw.astype(np.float64, copy=False)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ContractViolation(f"array {t} does not convert to float64: {exc}") from None
-        if axis.ndim != 1 or axis.size == 0:
-            raise ContractViolation(f"input array {t} must be nonempty and 1-D, got shape {axis.shape}")
-        require_finite(axis, f"array {t}")
-        axes.append(axis)
-        total *= axis.size
-        reach += float(np.abs(axis).max())
-    if k < 1 or k > total:
-        raise ContractViolation(f"k={k} outside [1, {total}]")
-    if not math.isfinite(reach):
+        axes.append(checked_axis(a, f"array {t}"))
+        require_finite(axes[-1], f"array {t}")
+    k = checked_k(k, math.prod(axis.size for axis in axes))
+    if not math.isfinite(sum(float(np.abs(axis).max()) for axis in axes)):
         raise ContractViolation("the sum over arrays of max |x| overflows float64")
     return axes, k
 
@@ -226,7 +208,7 @@ def _strides(dims: Sequence[int]) -> list[int]:
 
 def theoretical_exponent(alpha: float) -> float:
     """Exponent of m in the layered tree method's runtime: log2(alpha^2)."""
-    if not (isinstance(alpha, numbers.Real) and alpha > 0):
+    if isinstance(alpha, bool) or not (isinstance(alpha, numbers.Real) and alpha > 0):
         raise ParameterError(f"alpha must be a positive real number, got {alpha!r}")
     return 2.0 * math.log2(alpha)
 

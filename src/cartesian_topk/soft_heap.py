@@ -46,7 +46,7 @@ class SoftHeap:
     """
 
     def __init__(self, epsilon: float):
-        if not (isinstance(epsilon, numbers.Real) and 0.0 < epsilon < 0.5):
+        if isinstance(epsilon, bool) or not (isinstance(epsilon, numbers.Real) and 0 < epsilon < 0.5):
             raise ParameterError(f"epsilon must be a real number in (0, 1/2), got {epsilon!r}")
         self.epsilon = float(epsilon)
         # Item lists double only when an even-rank node above this cutoff

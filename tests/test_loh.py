@@ -39,7 +39,7 @@ def test_schedule_first_two_totals():
 
 
 def test_schedule_alpha_validation():
-    for alpha in (1.0, 2.0, 0.5, 2.5):
+    for alpha in (1.0, 2.0, 0.5, 2.5, True):  # a bool is refused by type
         with pytest.raises(ParameterError):
             LayerSchedule(alpha, 10)
     with pytest.raises(ContractViolation, match="n must be positive"):

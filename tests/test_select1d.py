@@ -7,7 +7,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from cartesian_topk import (ContractViolation, ParameterError, select_k, select_k_loh,
+from cartesian_topk import (ContractViolation, LayerSchedule, LeafGenerator, ParameterError,
+                            children_of, concatenation_select, select_k, select_k_loh,
                             soft_select_pairwise)
 from cartesian_topk.select1d import AscendingPrefix, split_smallest
 from cartesian_topk.selectors import _checked
@@ -34,6 +35,11 @@ def test_bad_k_rejected():
     for k in (-1, 4):  # split_smallest allows 0 and n, nothing beyond
         with pytest.raises(ContractViolation, match="outside"):
             split_smallest([1, 2, 3], k)
+    # values that are not real numbers in one dimension are refused by the
+    # dtype and shape of the array NumPy builds, not ordered as text
+    for bad in (["1.5", "10", "2"], [1 + 2j, 3.0], np.array([1, 2], dtype="m8[s]"), [[1.0, 2.0]]):
+        with pytest.raises(ContractViolation, match="1-D real numbers"):
+            select_k(bad, 1)
 
 
 def test_matches_sort_oracle():
@@ -166,19 +172,32 @@ def test_loh_select_equals_select_k():
         assert Counter(select_k_loh(vals, k, alpha)) == Counter(select_k(vals, k))
 
 
+def _covered(k):
+    """Layers each side generated to cover a k-selection on their concatenation."""
+    a, b = LeafGenerator([3.0, 1.0, 2.0, 5.0], 1.5), LeafGenerator([4.0, 0.0, 6.0], 1.5)
+    concatenation_select(a, b, k)
+    return a.layer_count, b.layer_count
+
+
 _K_TAKERS = {
     "_checked": lambda k: _checked([[3.0, 1.0, 2.0]], k)[1],
     "select_k": lambda k: select_k([3.0, 1.0, 2.0], k),
     "select_k_loh": lambda k: sorted(select_k_loh([3.0, 1.0, 2.0], k, 1.5)),
     "soft_select_pairwise": lambda k: soft_select_pairwise([3.0, 1.0, 2.0], [0.0], k),
+    "split_smallest": lambda k: split_smallest([3.0, 1.0, 2.0], k),
+    "concatenation_select": lambda k: _covered(k),
+    "LayerSchedule": lambda n: LayerSchedule(1.5, n).num_layers,
+    "children_of-i": lambda i: children_of(LayerSchedule(1.5, 100), i, 1),
+    "children_of-j": lambda j: children_of(LayerSchedule(1.5, 100), 4, j),
 }
 _NOT_INTEGERS = (1.5, 2.5, 2.0, True, np.bool_(True), "2")
 
 
 @pytest.mark.parametrize("name", sorted(_K_TAKERS))
 def test_k_must_be_an_integer(name):
-    # every entry point that takes k converts it the same way: an integer of
-    # any kind is accepted, a bool or a fraction is refused before the range.
+    # every entry point that takes a count (k, a split point, a schedule's n,
+    # a layer and an offset) converts it the same way: an integer of any kind
+    # is accepted, a bool or a fraction is refused before the range.
     # A fractional k could keep select_k_loh running, so its fractions are
     # tried in a child interpreter below.
     take = _K_TAKERS[name]

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -8,8 +9,8 @@ import pytest
 
 from cartesian_topk import (SELECTORS, ContractViolation, GuardError, LeafGenerator,
                             PairSumNode, ParameterError, RunStats,
-                            brute_force_select, fast_soft_tree_select,
-                            soft_tensor_select, soft_tree_select,
+                            brute_force_select, fast_soft_tree_select, lohify, select_k_loh,
+                            soft_select_pairwise, soft_tensor_select, soft_tree_select,
                             sort_tensor_select, sort_tree_select,
                             theoretical_exponent)
 from cartesian_topk.selectors import _Tree
@@ -287,6 +288,24 @@ _UNREPRESENTABLE = [
 ]
 
 
+# The lower-level entry points that take one sequence of values (the pairwise
+# selection two, tried on either side): they check it as the boundary checks
+# an axis.
+_ONE_AXIS = [
+    lambda a: soft_select_pairwise(a, [0.0], 1),
+    lambda a: soft_select_pairwise([0.0], a, 1),
+    lambda a: LeafGenerator(a, 1.5),
+    lambda a: lohify(a, 1.5),
+    lambda a: select_k_loh(a, 1, 1.5),
+]
+
+
+def _named_axis(arrays, match):
+    """The axis a boundary message must name (``array t``), or None."""
+    named = re.search(r"array (\d)", match)
+    return arrays[int(named.group(1))] if named else None
+
+
 @pytest.mark.parametrize("arrays,match", [case[1:] for case in _UNREPRESENTABLE],
                          ids=[case[0] for case in _UNREPRESENTABLE])
 @pytest.mark.filterwarnings("error")
@@ -297,6 +316,10 @@ def test_boundary_rejects_unrepresentable_inputs(arrays, match):
     for name in ["brute-force", *SELECTORS]:
         with pytest.raises(ContractViolation, match=match):
             values(name, arrays, 1)
+    axis = _named_axis(arrays, match)
+    for take in _ONE_AXIS if axis is not None else []:
+        with pytest.raises(ContractViolation, match="must convert to float64|nonempty and 1-D"):
+            take(axis)
 
 
 @pytest.mark.parametrize("arrays,match", [
@@ -308,6 +331,9 @@ def test_boundary_rejects_non_finite_naming_the_axis(arrays, match):
     for name in ["brute-force", *SELECTORS]:
         with pytest.raises(ParameterError, match=match):
             values(name, arrays, 1)
+    for take in _ONE_AXIS:
+        with pytest.raises(ParameterError, match="finite numbers"):
+            take(_named_axis(arrays, match))
 
 
 def test_fast_alpha_validation():
@@ -411,7 +437,7 @@ def test_exponent_values():
     assert theoretical_exponent(2.0) == pytest.approx(2.0)
     assert theoretical_exponent(np.float32(2.0)) == pytest.approx(2.0)
     # refused with the documented error, not a TypeError from comparing with 0
-    for alpha in (0.0, -1.0, "1.5", None, 1.5 + 0j, float("nan")):
+    for alpha in (0.0, -1.0, "1.5", None, 1.5 + 0j, float("nan"), True):
         with pytest.raises(ParameterError, match="alpha must be a positive real number"):
             theoretical_exponent(alpha)
 

@@ -22,7 +22,7 @@ def test_epsilon_one_over_3m():
     assert len(h) == 0
 
 
-@pytest.mark.parametrize("eps", [0.5, 0.0, -0.1, 0.75, float("nan"), "0.25", None, 0.25j])
+@pytest.mark.parametrize("eps", [0.5, 0.0, -0.1, 0.75, float("nan"), "0.25", None, 0.25j, True])
 def test_epsilon_open_interval(eps):
     with pytest.raises(ParameterError, match="epsilon must be a real number"):
         SoftHeap(eps)
