@@ -66,7 +66,7 @@ class BenchConfig:
             raise ParameterError(f"unknown distribution {self.distribution!r}")
         if self.distribution == "file" and not self.input_file:
             raise ParameterError("distribution 'file' requires --input-file")
-        if self.input_file and self.distribution != "file":
+        if self.input_file is not None and self.distribution != "file":
             raise ParameterError(f"--input-file is read only with distribution 'file', "
                                  f"not {self.distribution!r}")
         if self.k < 1:

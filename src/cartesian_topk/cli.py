@@ -70,6 +70,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         ns = parser.parse_args(argv)
+        for flag, path in (("--output", ns.output), ("--emit-gnuplot", ns.emit_gnuplot)):
+            if path == "":  # not a path, and not the same as leaving the flag out
+                raise _UsageError(f"{flag} needs a path, got an empty string")
         if ns.emit_gnuplot and not ns.output:
             raise _UsageError("--emit-gnuplot requires --output")
         if _same_file(ns.emit_gnuplot, ns.output):

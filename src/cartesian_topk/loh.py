@@ -40,10 +40,12 @@ class LayerSchedule:
     their ratio tends to alpha.  Only the final layer may be truncated
     (it absorbs whatever remains of n).  Totals are computed on demand,
     only as far as a layer or position asked about, so ``n`` may be far
-    beyond what a float can hold.
+    beyond what a float can hold.  ``child_positions`` keeps each answer,
+    which depends on the position alone, in a dict filled as positions are
+    first asked.
     """
 
-    __slots__ = ("alpha", "n", "_totals")
+    __slots__ = ("alpha", "n", "_totals", "_kids")
 
     def __init__(self, alpha: float, n: int):
         if isinstance(alpha, bool) or not (isinstance(alpha, numbers.Real) and 1.0 < alpha < 2.0):
@@ -51,6 +53,7 @@ class LayerSchedule:
         self.alpha = alpha
         self.n = checked_k(n, math.inf, name="n")
         self._totals = [1]
+        self._kids: dict[int, tuple[int, ...]] = {}
 
     @property
     def num_layers(self) -> int:
@@ -84,6 +87,14 @@ class LayerSchedule:
     def child_positions(self, pos: int) -> tuple[int, ...]:
         """Flat positions of the children of ``pos``: ``children_of`` plus the
         layer's base, dropping those past n; none in the last layer."""
+        try:  # on fast-soft-tree's hot path, where nearly every position is asked again
+            return self._kids[pos]
+        except KeyError:
+            pass
+        kids = self._kids[pos] = self._child_positions(pos)
+        return kids
+
+    def _child_positions(self, pos: int) -> tuple[int, ...]:
         if pos < 1 or pos > self.n:
             raise ContractViolation(f"position {pos} outside [1, {self.n}]")
         totals = self._totals

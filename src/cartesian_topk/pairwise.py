@@ -23,7 +23,8 @@ import math
 from typing import Sequence
 
 from .loh import LayerSchedule, LohGenerator
-from .select1d import checked_axis, checked_k, require_finite, select_k, split_smallest
+from .select1d import (checked_axis, checked_k, require_finite, require_summable, select_k,
+                       split_smallest)
 from .soft_heap import SoftHeap, pop_and_pool
 
 DEFAULT_EPSILON = 0.25
@@ -36,12 +37,14 @@ def soft_select_pairwise(a: Sequence[float], b: Sequence[float], k: int, *,
     Pops k candidates from a soft heap seeded at (1, 1); every popped or
     corrupted candidate contributes its true value to a pool and proposes
     its children, and the answer is an exact 1-D selection over the pool.
-    Each input is checked like a selector's axis, so the sums are float64.
+    Each input is checked like a selector's axis, so the sums are float64,
+    and the two together like a selector's axes, so no sum overflows.
     """
     axis_a, axis_b = checked_axis(a, "a"), checked_axis(b, "b")
     require_finite(axis_a, "a")
     require_finite(axis_b, "b")
     k = checked_k(k, axis_a.size * axis_b.size)
+    require_summable((axis_a, axis_b))
     heap_a, heap_b = axis_a.tolist(), axis_b.tolist()
     # heapq order gives a[i] <= a[2i], a[2i+1] in 1-based terms.
     heapq.heapify(heap_a)
@@ -183,11 +186,14 @@ class PairSumNode(LohGenerator):
 
     def _settle(self, cell) -> None:
         ia, ib = cell
+        # The scheme proposes each pair once, so it is admitted at once;
+        # debug_accounting routes it through _propose's check first.
+        admit = self._admit if self._debug_cells is None else self._propose
         if ib == 1:
             for ca in self.left.schedule.child_positions(ia):
-                self._propose(ca, 1)
+                admit(ca, 1)
         for cb in self.right.schedule.child_positions(ib):
-            self._propose(ia, cb)
+            admit(ia, cb)
 
     def _propose(self, ia: int, ib: int) -> None:
         # First (and only) proposal of a pair; the scheme is duplicate-free.

@@ -40,7 +40,8 @@ import numpy as np
 from .errors import ContractViolation, GuardError, ParameterError
 from .loh import LeafGenerator, LohGenerator
 from .pairwise import PairSumNode, soft_select_pairwise
-from .select1d import AscendingPrefix, checked_axis, checked_k, require_finite, select_k
+from .select1d import (AscendingPrefix, checked_axis, checked_k, require_finite,
+                       require_summable, select_k)
 from .soft_heap import SoftHeap, pop_and_pool
 
 DEFAULT_GUARD = 10_000_000
@@ -107,8 +108,8 @@ class RunStats:
 
 def _checked(arrays: Sequence[Sequence[float]], k: int) -> tuple[list[np.ndarray], int]:
     """The input boundary: each axis (a row, for a 2-D ndarray) by ``checked_axis``
-    and ``require_finite``, then k by ``checked_k`` into [1, cells]; the sum over
-    axes of max |x| must be finite, so no cell's sum overflows."""
+    and ``require_finite``, then k by ``checked_k`` into [1, cells], then the
+    axes together by ``require_summable``, so no cell's sum overflows."""
     if len(arrays) == 0:
         raise ContractViolation("need at least one input array")
     axes = []
@@ -116,8 +117,7 @@ def _checked(arrays: Sequence[Sequence[float]], k: int) -> tuple[list[np.ndarray
         axes.append(checked_axis(a, f"array {t}"))
         require_finite(axes[-1], f"array {t}")
     k = checked_k(k, math.prod(axis.size for axis in axes))
-    if not math.isfinite(sum(float(np.abs(axis).max()) for axis in axes)):
-        raise ContractViolation("the sum over arrays of max |x| overflows float64")
+    require_summable(axes)
     return axes, k
 
 

@@ -233,6 +233,29 @@ def test_cli_input_file_needs_file_distribution(tmp_path, capsys, monkeypatch):
         BenchConfig(input_file=str(src)).check()
 
 
+@pytest.mark.parametrize("args", [
+    ["--output", ""],
+    ["--input-file", ""],
+    ["--distribution", "file", "--input-file", ""],
+    ["--output", "rows.csv", "--emit-gnuplot", ""],
+], ids=["output", "input-file", "input-file-with-file-distribution", "emit-gnuplot"])
+def test_cli_empty_path_is_usage_error(tmp_path, capsys, monkeypatch, args):
+    # an empty string names no file: it is refused, not read as the flag left
+    # out (the CSV going to stdout, or an input file never asked for), before
+    # the run and before any output is opened
+    def no_run(config):
+        raise AssertionError("run() started")
+    monkeypatch.setattr("cartesian_topk.cli.run", no_run)
+    monkeypatch.chdir(tmp_path)
+    assert main(["--algorithm", "sort-tree", "--k", "2", *args]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("usage error:") and args[-2] in err[0], err
+    assert captured.out == "" and list(tmp_path.iterdir()) == []
+    with pytest.raises(ParameterError, match="--input-file"):
+        BenchConfig(input_file="").check()
+
+
 @pytest.mark.parametrize("sizes", [["--m", "7"], ["--n", "9"], ["--m", "7", "--n", "9"]])
 def test_cli_sizes_refused_with_file_distribution(tmp_path, capsys, monkeypatch, sizes):
     # a file's arrays fix m and n: a size flag the run would ignore is refused

@@ -36,6 +36,15 @@ order and with ``==``, the values of ``perfbench/reference.py``'s
 selectors, and a second call of each must repeat its values and every
 ``RunStats`` field.
 
+A fourth stream per container, the pieces one, checks the exported pieces
+the tree selectors are built from against the oracle on two axes drawn
+like the equal-length stream's (the rows of one 2-D ndarray for
+``2d-ndarray``): ``soft_select_pairwise``, a ``PairSumNode`` over two
+leaves with ``debug_accounting`` driven to k values, and ``select_k_loh``
+over the cells' sums.  Containers that hold 1e308 exactly also draw axes
+whose sums overflow float64, which the oracle and ``soft_select_pairwise``
+must both refuse.
+
 Three exact relations check counters where no reference gives them.  On
 seeded small cases (m <= 8, n <= 16, k <= 64; tie-heavy 0-3, exponential
 or negated exponential axes), and on float-list cases drawn like the wide
@@ -50,7 +59,7 @@ Run as a script, it sweeps more cases than tier-1 without pytest:
     PYTHONPATH=src python tests/test_differential.py --cases 1000 --seed 1
 
 checks ``--cases`` cases of every container in each of the first two
-streams, ``--wide-cases`` (20 by default) in the wide one, and
+streams and the pieces one, ``--wide-cases`` (20 by default) in the wide one, and
 ``--wide-cases`` wide cases of each relation; seed 0 draws tier-1's cases.
 """
 
@@ -66,7 +75,8 @@ import time
 import numpy as np
 import pytest
 
-from cartesian_topk import SELECTORS, RunStats, brute_force_select
+from cartesian_topk import (SELECTORS, ContractViolation, LeafGenerator, PairSumNode, RunStats,
+                            brute_force_select, select_k_loh, soft_select_pairwise)
 from test_acceptance import _reference_pops_per_level
 from test_selectors import check_oracle_indices
 
@@ -82,6 +92,8 @@ WIDE_MAX_M, WIDE_MAX_N, WIDE_MAX_K = 256, 256, 1024
 WIDE_CASES = 4  # per container in tier-1; the script's --wide-cases runs more
 RELATION_CASES = 20
 RELATIONS = ("permute", "scale", "shift")
+PIECE_CASES = 40  # per container in tier-1; the script's --cases runs more
+OVERFLOW_CONTAINERS = ("float-list", "int-list", "float64", "2d-ndarray")  # hold 1e308 exactly
 WIDE_RELATION_CASES = 8  # per relation in tier-1; the script's --wide-cases runs more
 
 # The wide stream's reference: exact, and sharing no code with the selectors.
@@ -100,6 +112,9 @@ def _axis(rng, kind, n, container):
         vals = [rng.choice((-0.0, 0.0, -0.0, 0.0, 1.0, -1.5)) for _ in range(n)]
     elif kind == "wide":
         vals = [rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-6, 6) for _ in range(n)]
+    elif kind == "overflow":  # finite, but +-1e308 on every axis: two axes' sums overflow
+        vals = [rng.choice((1e308, -1e308, rng.uniform(-1.0, 1.0))) for _ in range(n - 1)]
+        vals.insert(rng.randint(0, n - 1), rng.choice((1e308, -1e308)))
     else:
         vals = sorted(rng.uniform(-10.0, 10.0) for _ in range(n))
         if kind == "reversed":
@@ -258,6 +273,52 @@ def _check_wide_cases(container, cases, seed=0):
             assert np.array_equal(a, b), where
 
 
+def make_piece_case(rng, container):
+    """One (a, b, k, alpha, kind) case for the exported pieces: two axes of
+    1 to 40 values with at most MAX_CELLS cells (equal lengths, the rows of
+    one 2-D ndarray, for ``2d-ndarray``).  Containers that hold 1e308 as
+    it is also draw axes whose sums overflow float64."""
+    kinds = EQUAL_LENGTH_KINDS + (("overflow",) if container in OVERFLOW_CONTAINERS else ())
+    kind = rng.choice(kinds)
+    na = rng.randint(1, 17 if container == "2d-ndarray" else 40)
+    nb = na if container == "2d-ndarray" else rng.randint(1, min(40, MAX_CELLS // na))
+    a, b = _axis(rng, kind, na, container), _axis(rng, kind, nb, container)
+    if container == "2d-ndarray":
+        a, b = np.array([a, b], dtype=np.float64)
+    return a, b, rng.choice((1, na * nb, rng.randint(1, na * nb))), rng.choice(ALPHAS), kind
+
+
+def _check_piece_cases(container, cases, seed=0):
+    # the exported pieces fast-soft-tree and soft-tree are built from, each
+    # against the oracle on two axes: soft_select_pairwise, a PairSumNode over
+    # two leaves driven to k values, and select_k_loh over the cells' sums
+    rng = random.Random(CONTAINERS.index(container) + len(CONTAINERS) * seed + 3 * 10**6)
+    for case in range(cases):
+        a, b, k, alpha, kind = make_piece_case(rng, container)
+        where = (container, "pieces", seed, case, kind, (len(a), len(b)), k, alpha)
+        before = _snapshot([a, b])
+        if kind == "overflow":  # refused as the selectors refuse it
+            with pytest.raises(ContractViolation, match="overflows float64"):
+                brute_force_select([a, b], k)
+            with pytest.raises(ContractViolation, match="overflows float64"):
+                soft_select_pairwise(a, b, k)
+            continue
+        expected = brute_force_select([a, b], k).values
+        _check_values(soft_select_pairwise(a, b, k), expected, ("pairwise", where))
+        node = PairSumNode(LeafGenerator(a, alpha), LeafGenerator(b, alpha), alpha,
+                           debug_accounting=True)
+        while node.generated_count < k:
+            node.generate_next_layer()
+        _check_values(node.values[:k], expected, ("node", where))
+        # every proposed pair was inserted or parked, once
+        assert len(node._debug_cells) == node.soft_heap.insert_count + node.parked_count(), where
+        sums = [x + y for x in np.asarray(a, dtype=np.float64).tolist()
+                for y in np.asarray(b, dtype=np.float64).tolist()]
+        assert sorted(select_k_loh(sums, k, alpha)) == expected, ("select_k_loh", where)
+        for got, want in zip((a, b), before):
+            assert type(got) is type(want) and np.array_equal(got, want), where
+
+
 def make_relation_case(rng):
     """One (arrays, k) case: m <= 8 axes of 1 to 16 values, k <= 64."""
     kind = rng.choice(("ties", "exponential", "negated-exponential"))
@@ -322,6 +383,11 @@ def test_wide_stream_matches_reference(container):
     _check_wide_cases(container, WIDE_CASES)
 
 
+@pytest.mark.parametrize("container", CONTAINERS)
+def test_pieces_match_oracle(container):
+    _check_piece_cases(container, PIECE_CASES)
+
+
 @pytest.mark.parametrize("container", CONTAINERS[:-1])
 def test_selectors_match_oracle(container):
     _check_cases(container, CASES_PER_CONTAINER)
@@ -371,8 +437,10 @@ def main(argv=None):
         _check_cases(container, uneven, args.seed)
         _check_cases(container, args.cases, args.seed, equal_length=True)
         _check_wide_cases(container, args.wide_cases, args.seed)
-        print(f"{container}: {uneven} uneven, {args.cases} equal-length and "
-              f"{args.wide_cases} wide cases passed in {time.perf_counter() - start:.1f} s")
+        _check_piece_cases(container, args.cases, args.seed)
+        print(f"{container}: {uneven} uneven, {args.cases} equal-length, "
+              f"{args.wide_cases} wide and {args.cases} pieces cases passed "
+              f"in {time.perf_counter() - start:.1f} s")
     for relation in RELATIONS:
         start = time.perf_counter()
         _check_wide_relation(relation, args.wide_cases, args.seed)

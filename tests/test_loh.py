@@ -187,6 +187,19 @@ def test_children_of_range_checks():
         children_of(sched, 1, 2)  # offset beyond layer size
 
 
+def _children_by_offsets(ref, totals, pos):
+    """``pos``'s flat children through ``children_of``, truncated to n; the
+    layer comes from bisecting ``totals``, the totals asked of ``ref`` so far."""
+    while totals[-1] < pos:
+        totals.append(ref.total(len(totals)))
+    layer = bisect_left(totals, pos)
+    if not ref.has_layer(layer + 1):
+        return ()
+    base = ref.total(layer)
+    offsets = children_of(ref, layer, pos - totals[layer - 1])
+    return tuple(base + c for c in offsets if base + c <= ref.n)
+
+
 @pytest.mark.parametrize("alpha", [1.05, 1.1, 1.5, 1.9])
 def test_child_positions_match_children_of(alpha):
     # flat-position children equal the layer offset map of children_of,
@@ -198,15 +211,7 @@ def test_child_positions_match_children_of(alpha):
         sched, ref = LayerSchedule(alpha, n), LayerSchedule(alpha, n)
         totals = [0]
         for pos in range(1, min(n, 3000) + 1):
-            while totals[-1] < pos:
-                totals.append(ref.total(len(totals)))
-            layer = bisect_left(totals, pos)
-            offset = pos - totals[layer - 1]
-            want = ()
-            if ref.has_layer(layer + 1):
-                base = ref.total(layer)
-                want = tuple(base + c for c in children_of(ref, layer, offset) if base + c <= n)
-            assert sched.child_positions(pos) == want, (n, pos)
+            assert sched.child_positions(pos) == _children_by_offsets(ref, totals, pos), (n, pos)
         for pos in {min(n, 3000), (min(n, 3000) + 1) // 2}:
             assert LayerSchedule(alpha, n).child_positions(pos) == sched.child_positions(pos), (n, pos)
     if alpha == 1.1:  # position 5000 asked first, as walked in order it gives 5540
@@ -215,6 +220,26 @@ def test_child_positions_match_children_of(alpha):
     for pos in (0, 51):
         with pytest.raises(ContractViolation):
             sched.child_positions(pos)
+
+
+@pytest.mark.parametrize("alpha", [1.05, 1.1, 1.5, 1.9])
+def test_child_positions_keep_their_answers(alpha):
+    # one schedule asked every position twice, in shuffled order, answers each
+    # time what a fresh schedule and children_of answer: a kept answer depends
+    # on the position alone, not on what was asked before it
+    rng = random.Random(f"kept-{alpha}")
+    for n in (1, 2, 3, 10, 57, 400):
+        sched, ref, totals = LayerSchedule(alpha, n), LayerSchedule(alpha, n), [0]
+        order = [*range(1, n + 1)] * 2
+        rng.shuffle(order)
+        for pos in order:
+            want = _children_by_offsets(ref, totals, pos)
+            assert sched.child_positions(pos) == want, (n, pos)
+            assert LayerSchedule(alpha, n).child_positions(pos) == want, (n, pos)
+        for pos in (0, n + 1):  # a position outside is refused each time it is asked
+            for _ in range(2):
+                with pytest.raises(ContractViolation, match=f"position {pos} outside"):
+                    sched.child_positions(pos)
 
 
 def test_prefix_layers_match_selection():

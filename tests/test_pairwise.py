@@ -90,6 +90,16 @@ def test_pairwise_refuses_non_finite(bad):
         soft_select_pairwise([10**400], [1], 1)  # an int past float range, as at the boundary
 
 
+def test_pairwise_refuses_sums_past_float64():
+    # every value is finite, but 1e308 + 1e308 is not: refused like every
+    # selector's axes, by the sum over the two of max |x|, on either side
+    for a, b in (([1e308, 1e308], [1e308, 1.0]), ([2.0, -1e308], np.array([-1e308, 1.0]))):
+        for first, second in ((a, b), (b, a)):
+            with pytest.raises(ContractViolation, match="overflows float64"):
+                soft_select_pairwise(first, second, 4)
+    assert soft_select_pairwise([1e307, 0.0], [-1e307, 1.0], 4) == [-1e307, 0.0, 1.0, 1e307]
+
+
 def test_pairwise_exhaustive_tiny():
     # every |A|, |B| <= 4 over a duplicate-heavy alphabet, every k
     values = [0.0, 1.0, 1.0, 2.0]

@@ -40,6 +40,14 @@ def test_bad_k_rejected():
     for bad in (["1.5", "10", "2"], [1 + 2j, 3.0], np.array([1, 2], dtype="m8[s]"), [[1.0, 2.0]]):
         with pytest.raises(ContractViolation, match="1-D real numbers"):
             select_k(bad, 1)
+    # an object array's values, ragged input and a masked array (whose mask
+    # NumPy's conversion would drop) are refused too, by the partition or the
+    # conversion, not with Python's or NumPy's own error
+    masked = np.ma.array([1.0, 2.0], mask=[True, False])
+    for bad in (["1.5", 2**70], [1.0, [2.0]], [1.0, None], masked):
+        for k in (1, 2):
+            with pytest.raises(ContractViolation, match="1-D real numbers"):
+                select_k(bad, k)
 
 
 def test_matches_sort_oracle():
@@ -85,9 +93,9 @@ def test_split_smallest_partitions_exactly():
     assert Counter(low + high) == Counter(vals)
     # Every cut returns its kept part ascending, so the input alone fixes it
     # on any CPU, up to the order of -0.0 and 0.0: floats are compared by hex
-    # after mapping -0.0 to 0.0.  The rest is the kept part's complement as a
-    # multiset, in whatever order the partition left it; at k = 0 it keeps
-    # the input order.
+    # after mapping -0.0 to 0.0.  split_smallest returns the rest ascending
+    # too, so a caller that carries it into its next cut hands over one
+    # ascending run; at k = 0 it compares nothing and keeps the input order.
     def hexes(xs):
         return [(x + 0.0).hex() for x in xs]
 
@@ -100,7 +108,7 @@ def test_split_smallest_partitions_exactly():
         for k in range(1, n):
             low, high = split_smallest(vals, k)
             assert hexes(low) == ascending[:k]
-            assert Counter(hexes(high)) == Counter(ascending[k:])
+            assert hexes(high) == ascending[k:]
             assert hexes(select_k(vals, k)) == ascending[:k]
         low, high = split_smallest(vals, 0)
         assert low == [] and [x.hex() for x in high] == [x.hex() for x in vals]
@@ -108,13 +116,25 @@ def test_split_smallest_partitions_exactly():
         low, high = split_smallest(vals, n)
         assert hexes(low) == ascending and high == [] and low is not vals
         assert hexes(select_k(vals, n)) == ascending
-    # Python floats at every k, from an ndarray too
+    # Python floats at every k, from an ndarray too, which is left as it was
     arr = np.array([3.0, 1.0, 2.0])
     assert select_k(arr, 3) == [1.0, 2.0, 3.0]
     for k in range(4):
         low, high = split_smallest(arr, k)
         assert all(type(v) is float for v in low + high), k
+        assert low + high == ([3.0, 1.0, 2.0] if k == 0 else [1.0, 2.0, 3.0]), k
         assert k == 0 or all(type(v) is float for v in select_k(arr, k)), k
+    assert arr.tolist() == [3.0, 1.0, 2.0]
+
+
+def test_split_smallest_refuses_mixed_types():
+    # values that do not compare with each other are refused as the sort
+    # meets them, not with Python's TypeError; at k = 0 nothing is compared
+    for bad in (["a", 1.0], [1.0, None, 2.0], np.array([1.0, "x"], dtype=object)):
+        for k in (1, len(bad)):
+            with pytest.raises(ContractViolation, match="real numbers"):
+                split_smallest(bad, k)
+        assert split_smallest(bad, 0) == ([], list(bad))
 
 
 def test_ascending_prefix_grows_on_demand():

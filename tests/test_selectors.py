@@ -284,6 +284,9 @@ _UNREPRESENTABLE = [
     ("datetime64-equal", [np.array([0.0, 1.0]), np.array(["2020-01-01", "2020-01-02"], dtype="M8[D]")],
      r"\barray 1\b"),
     ("timedelta64-2-d-ndarray", np.array([[1, 2], [3, 4]], dtype="m8[s]"), r"\barray 0\b"),
+    ("masked", [np.ma.array([1.0, 2.0], mask=[True, False]), [1.0]], r"\barray 0\b"),
+    ("masked-2-d-ndarray", np.ma.array([[1.0, 2.0], [3.0, 4.0]], mask=[[False] * 2, [False, True]]),
+     r"\barray 0\b"),
     ("no-axes", [], "^need at least one input array"),
 ]
 
