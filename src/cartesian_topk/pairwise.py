@@ -149,6 +149,12 @@ class PairSumNode(LohGenerator):
     ancestor y is in the heap, uncorrupted, with key(y) <= x, so every
     counted extraction settles a distinct item in this call whose
     own key is <= key(y) <= x: the pool has ``layer_size`` of them.
+
+    The node does not check its children's values.  Over leaves whose sums
+    overflow float64 it generates ``inf``; where they overflow both ways
+    (one child's ``inf`` meets the other's ``-inf``) it generates NaN, and
+    its layers are then no longer ascending.  The selectors rule both out
+    at their boundary (``select1d.require_summable``).
     """
 
     __slots__ = ("left", "right", "soft_heap", "purgatory_a", "purgatory_b",

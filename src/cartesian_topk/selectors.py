@@ -132,6 +132,18 @@ def _validated(arrays: Sequence[Sequence[float]], k: int,
     return [AscendingPrefix(axis) for axis in axes], k
 
 
+def _join(ops: list[tuple[int, int]], m: int, lo: int, hi: int) -> int:
+    """The node over axes [lo, hi): appends the joins below it to ``ops`` in
+    post-order and returns its number.  A module-level function, not a
+    closure over the tree, so no reference cycle keeps a call's tree alive
+    until the cyclic collector runs."""
+    if hi - lo == 1:
+        return lo
+    mid = lo + (hi - lo + 1) // 2
+    ops.append((_join(ops, m, lo, mid), _join(ops, m, mid, hi)))
+    return m + len(ops) - 1
+
+
 class _Tree:
     """The balanced tree over m axes that every selector and the oracle walk
     (left child = first ceil(m/2) axes).  Leaf t is node t; internal node
@@ -145,15 +157,7 @@ class _Tree:
 
     def __init__(self, m: int):
         self.ops: list[tuple[int, int]] = []
-
-        def build(lo: int, hi: int) -> int:
-            if hi - lo == 1:
-                return lo
-            mid = lo + (hi - lo + 1) // 2
-            self.ops.append((build(lo, mid), build(mid, hi)))
-            return m + len(self.ops) - 1
-
-        build(0, m)
+        _join(self.ops, m, 0, m)
         self.depth = [0] * (m + len(self.ops))
         up: list[list[int]] = [[] for _ in self.depth]  # siblings from v to the root
         joins: list[list[tuple[int, int, int]]] = [[] for _ in self.depth]  # v's ancestors
@@ -435,45 +439,52 @@ class _SortMerge:
     pushed twice.  Row i+1 is read when (i, 1) pops and column j+1 when
     (1, j) pops, so only the first pop, (1, 1), advances both counts, and
     only it reads column 2, which the check below enforces.
-    ``history[t - 1]`` is the cell of the t-th value.
+    With ``history`` (the default), ``history[t - 1]`` is the cell of the
+    t-th value.  ``sort_tree_select`` keeps it only when asked for indices:
+    recording every pop took about a fifth of a call at m=4, n=2048,
+    k=16384 (perfbench's deep-k, paired runs).  Without it ``history`` is
+    None, and the check counts ``values`` instead.
     """
 
     __slots__ = ("left", "right", "n", "values", "rows", "cols", "fringe", "history", "gauge")
 
-    def __init__(self, left, right, gauge: _FringeGauge):
+    def __init__(self, left, right, gauge: _FringeGauge, history: bool = True):
         self.left, self.right, self.gauge = left, right, gauge
         self.n = left.n * right.n
         self.values: list[float] = []
         self.rows = self.cols = 1
         self.fringe = [(left.reach(1)[0] + right.reach(1)[0], 1, 1)]
-        self.history: list[tuple[int, int]] = []
+        self.history: list[tuple[int, int]] | None = [] if history else None
         gauge.current += 1
         gauge.peak = max(gauge.peak, gauge.current)
 
     def reach(self, count: int) -> list[float]:
         """``values``, extended by pops to min(count, n) sums."""
-        values, fringe, history = self.values, self.fringe, self.history
-        left, right, gauge = self.left, self.right, self.gauge
-        lv, rv = left.values, right.values
+        values, fringe, gauge = self.values, self.fringe, self.gauge
+        left, right = self.left, self.right
+        lv, rv, left_n, right_n = left.values, right.values, left.n, right.n
+        record = None if self.history is None else self.history.append
+        pop, push = heapq.heappop, heapq.heappush
         while len(values) < count and fringe:
-            val, i, j = heapq.heappop(fringe)
+            val, i, j = pop(fringe)
             values.append(val)
-            history.append((i, j))
+            if record:
+                record((i, j))
             grown = -1  # fringe entries gained by this pop
-            if j == 1 and i < left.n:  # (i, 1) cells pop in increasing i
+            if j == 1 and i < left_n:  # (i, 1) cells pop in increasing i
                 self.rows = i + 1
                 if i == len(lv):
                     left.reach(i + 1)
-                heapq.heappush(fringe, (lv[i] + rv[0], i + 1, 1))
+                push(fringe, (lv[i] + rv[0], i + 1, 1))
                 grown = 0
-            if j < right.n:
+            if j < right_n:
                 if j == self.cols:
-                    if j == 1 and len(history) > 1:
+                    if j == 1 and len(values) > 1:
                         raise AssertionError("column 2 read after the first pop")
                     self.cols = j + 1
                     if j == len(rv):
                         right.reach(j + 1)
-                heapq.heappush(fringe, (lv[i - 1] + rv[j], i, j + 1))
+                push(fringe, (lv[i - 1] + rv[j], i, j + 1))
                 grown += 1
             if grown:
                 gauge.current += grown
@@ -486,15 +497,17 @@ def sort_tree_select(arrays: Sequence[Sequence[float]], k: int, *,
                      stats: RunStats | None = None,
                      want_indices: bool = False) -> SelectionResult:
     """k smallest sums in ascending order via a balanced tree of merges whose
-    leaves are the axes themselves; indices are decoded down the tree from
-    each merge's ``history``."""
+    leaves are the axes themselves.  With ``want_indices`` each merge keeps
+    its ``history`` (``history[t - 1]`` is the cell of the t-th value) and
+    indices are decoded down the tree from it; without, no merge records its
+    pops, and values and ``stats`` are the same."""
     axes, k = _validated(arrays, k, stats)
     m = len(axes)
     tree = _Tree(m)
     gauge = _FringeGauge()
     nodes: list = list(axes)
     for left, right in tree.ops:
-        nodes.append(_SortMerge(nodes[left], nodes[right], gauge))
+        nodes.append(_SortMerge(nodes[left], nodes[right], gauge, want_indices))
     values = nodes[-1].reach(k)[:k]  # an axis root (m = 1) reads ahead of k
     indices = None
     if want_indices:

@@ -1026,6 +1026,59 @@ def test_golden_sort_tensor_last_axis(kind):
     assert (repr(stats), digest) == _SORT_TENSOR_LAST_AXIS_GOLDEN[kind]
 
 
+def _sort_tree_index_cases():
+    # the pop-order kinds, the deep-k- and ties-shaped inputs above, a
+    # ties-ndarray-shaped one (float64 rows of integers 0..7) and 200 random
+    # shapes of m = 1..9 axes, k up to all cells or 300
+    yield from _pop_order_inputs("distinct")
+    yield from _pop_order_inputs("ties")
+    yield from _last_axis_inputs().values()
+    rng = np.random.default_rng(32)
+    yield rng.integers(0, 8, size=(8, 16)).astype(np.float64), 1500
+    rng = random.Random(32)
+    for _ in range(200):
+        lengths = [rng.randint(1, 6) for _ in range(rng.randint(1, 9))]
+        draw = rng.random if rng.random() < 0.5 else (lambda: float(rng.randint(0, 3)))
+        arrays = [[draw() for _ in range(n)] for n in lengths]
+        yield arrays, rng.randint(1, min(math.prod(lengths), 300))
+
+
+def test_sort_tree_indices_change_no_values_or_counters():
+    # only want_indices=True records each merge's pop history; the values and
+    # every RunStats field must not depend on it
+    for arrays, k in _sort_tree_index_cases():
+        plain, indexed = RunStats(), RunStats()
+        without = sort_tree_select(arrays, k, stats=plain)
+        with_indices = sort_tree_select(arrays, k, stats=indexed, want_indices=True)
+        assert without.indices is None and len(with_indices.indices) == k
+        assert without.values == with_indices.values
+        assert repr(plain) == repr(indexed)
+
+
+def test_selectors_leave_no_reference_cycles():
+    # with the cyclic collector paused, a call must free everything it made
+    # by reference counting alone: no closure or tree outlives its call
+    import gc
+
+    from cartesian_topk.bench import generate_inputs
+    calls = [(name, select, {}) for name, select in SELECTORS.items()]
+    calls += [("oracle", brute_force_select, {}),
+              ("sort-tree", sort_tree_select, {"want_indices": True}),
+              ("soft-tensor", soft_tensor_select, {"debug_checks": True})]
+    for m, n, k in ((7, 6, 50), (64, 3, 40)):
+        arrays = generate_inputs("uniform", m, n, 1)
+        for name, select, kwargs in calls:
+            if name == "oracle" and m == 64:
+                continue  # 3^64 cells: past the materialization guard
+            gc.collect()
+            gc.disable()
+            try:
+                select(arrays, k, **kwargs)
+                assert gc.collect() == 0, (m, name, kwargs)
+            finally:
+                gc.enable()
+
+
 @pytest.mark.parametrize("lengths", [(5, 4, 1, 1), (4, 1, 6), (1, 1, 1), (1,), (7,), (3, 1)])
 def test_soft_tensor_matches_oracle_around_length_one_axes(lengths):
     # trailing length-1 axes, a length-1 middle axis, all axes of length 1 and
@@ -1278,9 +1331,9 @@ def raises(fn):
     return False
 
 
-def merge_advances_both_margins():
+def merge_advances_both_margins(history=True):
     leaves = [sel.AscendingPrefix([1.0, 2.0, 3.0, 4.0]) for _ in range(2)]
-    node = sel._SortMerge(leaves[0], leaves[1], sel._FringeGauge())
+    node = sel._SortMerge(leaves[0], leaves[1], sel._FringeGauge(), history)
     node.reach(1)
     node.cols = 1  # (2, 1) next: both (3, 1) and (2, 2) need a new value
     node.fringe = [(-1.0, 2, 1)]
@@ -1298,7 +1351,8 @@ def node_proposes_twice():
     node._propose(1, 1)
 
 
-print(__debug__, raises(merge_advances_both_margins), raises(tensor_proposes_twice),
+print(__debug__, raises(merge_advances_both_margins),
+      raises(lambda: merge_advances_both_margins(history=False)), raises(tensor_proposes_twice),
       raises(node_proposes_twice))
 """
 
@@ -1315,4 +1369,4 @@ def test_invariant_checks_survive_optimize():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     proc = subprocess.run([sys.executable, "-O", "-c", _TAMPERED_CHECKS], env=env,
                           capture_output=True, text=True, timeout=120, check=True)
-    assert proc.stdout.split() == ["False", "True", "True", "True"]
+    assert proc.stdout.split() == ["False", "True", "True", "True", "True"]
