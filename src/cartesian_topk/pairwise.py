@@ -114,11 +114,9 @@ def concatenation_select(gen_a: LohGenerator, gen_b: LohGenerator, k: int,
         small, small_off, big, big_off = gen_a, offset_a, gen_b, offset_b
     else:
         small, small_off, big, big_off = gen_b, offset_b, gen_a, offset_a
-    budget = big.size_of_last_layer()
-    accumulated = 0
-    while accumulated < budget and small.has_more_layers():
+    stop = small.generated_count + big.size_of_last_layer()
+    while small.generated_count < stop and small.has_more_layers():
         small.generate_next_layer()
-        accumulated += small.size_of_last_layer()
         if small.max_generated() - small_off >= big.max_generated() - big_off:
             break
 

@@ -539,9 +539,9 @@ def fast_soft_tree_select(arrays: Sequence[Sequence[float]], k: int, *,
     Leaves slice each layer off their ascending array when asked;
     internal nodes generate their sum layers on demand, so each level of
     the tree produces only about alpha^2 times the values of the level
-    above it.  The root generates layers until it holds k values, then an
-    exact 1-D selection finishes.  ``LayerSchedule`` refuses an alpha
-    that is not a real number in (1, 2) with ``ParameterError``.
+    above it.  The root generates ascending layers until it holds k
+    values; the answer is its ascending prefix of k.  ``LayerSchedule``
+    refuses a non-real alpha, or one outside (1, 2), with ``ParameterError``.
     """
     axes, k = _validated(arrays, k, stats)
     m = len(axes)
@@ -561,7 +561,7 @@ def fast_soft_tree_select(arrays: Sequence[Sequence[float]], k: int, *,
             stats.corrupted_count += n.soft_heap.corrupted_count
             stats.fringe_peak = max(stats.fringe_peak, n.soft_heap.peak_size)
         stats.values_generated += sum(stats.generated_per_level.values())
-    return SelectionResult(values=select_k(root.values, k))
+    return SelectionResult(values=root.values[:k])
 
 
 SELECTORS = {"soft-tensor": soft_tensor_select, "soft-tree": soft_tree_select,

@@ -64,7 +64,7 @@ def test_schedule_ratio_convergence():
                 assert abs(ratio - alpha) <= 0.05, (alpha, i, ratio)
 
 
-def test_layer_of_roundtrip():
+def test_child_positions_refuse_positions_outside_the_heap():
     # a flat position outside [1, n] is refused, on a fresh schedule and on
     # one whose totals are all computed; the first and the last are not
     fresh, full = LayerSchedule(1.3, 500), LayerSchedule(1.3, 500)

@@ -20,10 +20,14 @@ from cartesian_topk.bench import generate_inputs
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 # Dead spans: the tracer still wraps ``loh.lohify`` and ``loh.split_at``,
-# which no selector reaches since leaves stopped calling ``lohify``.  Their
-# repair belongs to the benchmark's next change (ROADMAP item 1); until then
-# they must read exactly 0, so a span that comes back to life shows here.
-DEAD = {"fast_soft_tree": {"loh.lohify.ns", "loh.lohify.values", "select1d.split_at.ns"}}
+# which no selector reaches since leaves stopped calling ``lohify``, and it
+# wraps ``select_k`` only as ``selectors.select_k`` and ``pairwise.select_k``,
+# neither of which fast-soft-tree reaches since its answer became the root's
+# ascending prefix.  Their repair belongs to the benchmark's next change
+# (ROADMAP item 1); until then they must read exactly 0, so a span that comes
+# back to life shows here.
+DEAD = {"fast_soft_tree": {"loh.lohify.ns", "loh.lohify.values", "select1d.split_at.ns",
+                           "select1d.select_k.ns", "select1d.pool_per_k"}}
 # Pairs still parked when the call ends: 0 on this input.
 MAY_BE_ZERO = {"pairwise.parked"}
 SOFT_HEAP_SELECTORS = {"soft_tensor", "soft_tree", "fast_soft_tree"}

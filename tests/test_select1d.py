@@ -80,7 +80,7 @@ def test_partition_correctness():
         assert max(low) <= min(rest.elements())
 
 
-def test_median_of_medians_fallback_on_adversarial_input():
+def test_select_k_on_constant_and_staircase_input():
     # Constant and staircase inputs: all-equal and heavily tied segments.
     for vals in ([1.0] * 5000, [float(i % 7) for i in range(5000)]):
         assert select_k(vals, 1234) == sorted(vals)[:1234]

@@ -539,6 +539,28 @@ def test_fast_leaves_do_not_partition_whole_arrays(monkeypatch):
     assert stats.generated_per_level[6] < 0.02 * 64 * 1024
 
 
+def test_fast_soft_tree_answer_is_the_root_prefix(monkeypatch):
+    # every generated layer is ascending, so the root's first k values are
+    # the answer: no 1-D selection runs after the layer loop
+    import cartesian_topk.pairwise as pw
+    import cartesian_topk.selectors as sel
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("fast-soft-tree ran a 1-D selection")
+
+    monkeypatch.setattr(sel, "select_k", refuse)
+    monkeypatch.setattr(pw, "select_k", refuse)
+    ties = np.random.Generator(np.random.PCG64(16)).integers(0, 3, (5, 6)).astype(np.float64)
+    cases = [([[3.0, -1.0, 2.0, 2.0, 0.5]], 4),  # m = 1: the root is a leaf
+             ([[1.0, 2.0, 3.0], [0.5, 4.0], [2.0, 0.0]], 12),  # k = every cell
+             (list(ties), 500),  # heavy ties
+             ([[-0.0, 0.0, 1.0], [0.0, -0.0, -0.0], [0.0, -0.0]], 18)]  # signed zeros
+    for arrays, k in cases:
+        for alpha in (1.05, 1.1, 1.5):
+            got = fast_soft_tree_select(arrays, k, alpha=alpha).values
+            assert got == brute_force_select(arrays, k).values, (arrays, k, alpha)
+
+
 def test_agreement_duplicate_heavy():
     rng = random.Random(43)
     for _ in range(40):
