@@ -20,8 +20,10 @@ from __future__ import annotations
 
 import heapq
 import math
+from fractions import Fraction
 from typing import Sequence
 
+from .errors import ContractViolation
 from .loh import LayerSchedule, LohGenerator
 from .select1d import (checked_axis, checked_k, require_finite, require_summable, select_k,
                        split_smallest)
@@ -89,7 +91,9 @@ def concatenation_select(gen_a: LohGenerator, gen_b: LohGenerator, k: int,
 
     ``offset_a``/``offset_b`` are subtracted from the respective maxima in
     every comparison, letting callers compare the two sides on a common
-    zero point (the pair-sum node passes each side's minimum).
+    zero point (the pair-sum node passes each side's minimum).  Each
+    comparison is exact, as if the differences were not rounded: two
+    differences that round to one float still order by their true values.
     """
     k = checked_k(k, math.inf)
     while gen_a.generated_count + gen_b.generated_count < k:
@@ -101,24 +105,39 @@ def concatenation_select(gen_a: LohGenerator, gen_b: LohGenerator, k: int,
             gen_b.generate_next_layer()
         elif not b_more:
             gen_a.generate_next_layer()
-        elif gen_a.max_generated() - offset_a <= gen_b.max_generated() - offset_b:
+        elif _gap_sign(gen_a.max_generated(), offset_a, gen_b.max_generated(), offset_b) <= 0:
             gen_a.generate_next_layer()
         else:
             gen_b.generate_next_layer()
 
-    max_a = gen_a.max_generated() - offset_a
-    max_b = gen_b.max_generated() - offset_b
-    if max_a == max_b:
+    side = _gap_sign(gen_a.max_generated(), offset_a, gen_b.max_generated(), offset_b)
+    if not side:
         return
-    if max_a < max_b:
+    if side < 0:
         small, small_off, big, big_off = gen_a, offset_a, gen_b, offset_b
     else:
         small, small_off, big, big_off = gen_b, offset_b, gen_a, offset_a
     stop = small.generated_count + big.size_of_last_layer()
     while small.generated_count < stop and small.has_more_layers():
         small.generate_next_layer()
-        if small.max_generated() - small_off >= big.max_generated() - big_off:
+        if _gap_sign(small.max_generated(), small_off, big.max_generated(), big_off) >= 0:
             break
+
+
+def _gap_sign(x: float, x0: float, y: float, y0: float) -> int:
+    # The sign of (x - x0) - (y - y0), exactly.  Rounding is monotone, so
+    # rounded gaps that differ order the exact ones.  Equal rounded gaps
+    # compare their rounding errors (Knuth's TwoSum), exact unless a gap
+    # overflowed, and then the exact fractions.
+    gx, gy = x - x0, y - y0
+    if gx != gy:
+        return -1 if gx < gy else 1
+    bx, by = gx - x, gy - y
+    ex = (x - (gx - bx)) - (x0 + bx)
+    ey = (y - (gy - by)) - (y0 + by)
+    if not (math.isfinite(ex) and math.isfinite(ey)):
+        ex, ey = Fraction(x) - Fraction(x0), Fraction(y) - Fraction(y0)
+    return (ex > ey) - (ex < ey)
 
 
 class PairSumNode(LohGenerator):
@@ -148,11 +167,12 @@ class PairSumNode(LohGenerator):
     counted extraction settles a distinct item in this call whose
     own key is <= key(y) <= x: the pool has ``layer_size`` of them.
 
-    The node does not check its children's values.  Over leaves whose sums
-    overflow float64 it generates ``inf``; where they overflow both ways
-    (one child's ``inf`` meets the other's ``-inf``) it generates NaN, and
-    its layers are then no longer ascending.  The selectors rule both out
-    at their boundary (``select1d.require_summable``).
+    A layer whose first or last value is not finite, because its pair sums
+    overflow float64, raises ``ContractViolation``; the check runs once per
+    layer, not per pair.  A layer is ascending, so every layer a node
+    returns is finite, and with finite children no sum is NaN.  The
+    selectors refuse such inputs earlier, at their boundary
+    (``select1d.require_summable``).
     """
 
     __slots__ = ("left", "right", "soft_heap", "purgatory_a", "purgatory_b",
@@ -184,6 +204,8 @@ class PairSumNode(LohGenerator):
         layer_size = end - self.generated_count
         self.pops_total += pop_and_pool(self.soft_heap, layer_size, self.carryover, self._settle)
         layer, self.carryover = split_smallest(self.carryover, layer_size)
+        if not (math.isfinite(layer[0]) and math.isfinite(layer[-1])):
+            raise ContractViolation("a pair-sum node's layer overflows float64")
         return layer
 
     # -- internals -------------------------------------------------------------

@@ -1,19 +1,21 @@
 """Soft heap: a priority queue that trades exactness for speed.
 
 Every item is a plain ``(key, payload)`` tuple that is never changed.
-Items sit in per-node lists inside a forest of binary trees, at most one
-tree per rank, kept in a dict from rank to root in insertion order.  A
-node is a plain list ``[key, items, left, right, rank]``, and an item's
-current key is always its node's key.  insert only appends to a pending
-list.  extract_min is the one path that changes the forest: it first
-settles the counters (size, inserts, peak) for all pending items at once
-and carries each into the forest like a binary increment, then pops the
-first root of least key.  A rank-0 tree is always a leaf holding one
-item, so a pending item that meets one builds the rank-1 node directly:
-the smaller key (the pending item's on a tie) goes up, the other stays
-below as its only child.
+Items sit in the nodes of a forest of binary trees, at most one tree per
+rank, kept in a dict from rank to root in insertion order.  A node is a
+plain list ``[key, items, left, right, rank]`` whose ``items`` slot holds
+one bare item, or a list of two or more once car-pooling (below) has
+given the node a second item; no node at or below the rank cutoff ever
+holds a list.  An item's current key is always its node's key.  insert
+only appends to a pending list.  extract_min is the one path that
+changes the forest: it first settles the counters (size, inserts, peak)
+for all pending items at once and carries each into the forest like a
+binary increment, then pops the first root of least key.  A rank-0 tree
+is always a leaf holding one item, so a pending item that meets one
+builds the rank-1 node directly: the smaller key (the pending item's on
+a tie) goes up, the other stays below as its only child.
 
-An emptied node refills by pulling up its smaller-key child's list (the
+An emptied node refills by pulling up its smaller-key child's items (the
 left one on a tie) together with its key, then refilling that child the
 same way down to a leaf, which raises no key.  Corruption happens in one
 place only: a new even-rank node above a cutoff derived from epsilon
@@ -43,6 +45,10 @@ class SoftHeap:
     minimum current key, which is ``key``, so it is corrupted iff
     ``item[0] < key``; newly_corrupted lists every live item first
     corrupted during this call (each item is reported at most once ever).
+
+    A node ``[key, items, left, right, rank]`` holds a lone item bare, not
+    in a one-item list, so a live item costs the collector its tuple and
+    about one node list; only car-pooling makes an items list.
     """
 
     def __init__(self, epsilon: float):
@@ -102,18 +108,18 @@ class SoftHeap:
                 key = item[0]
                 leaf = pop(0, None)
                 if leaf is None:
-                    trees[0] = [key, [item], None, None, 0]
+                    trees[0] = [key, item, None, None, 0]
                     continue
                 if leaf[0] < key:  # rank-0 carry: the smaller key rises, ties to the new item
                     node = [leaf[0], leaf[1], leaf, None, 1]
                     leaf[0] = key
-                    leaf[1] = [item]
+                    leaf[1] = item
                 else:
-                    node = [key, [item], leaf, None, 1]
+                    node = [key, item, leaf, None, 1]
                 rank = 1
                 other = pop(1, None)
                 while other is not None:
-                    # the new root takes the smaller root's list (node's on a
+                    # the new root takes the smaller root's items (node's on a
                     # tie); that root, refilled, is its left child, or is
                     # dropped if it was a leaf
                     rank += 1
@@ -134,13 +140,16 @@ class SoftHeap:
         self._size = size - 1
         root = min(trees.values(), key=_key)  # first of equal keys
         key = root[0]
-        items = root[1]
-        item = items.pop()
-        if not items:
-            if root[2] is None:
-                del trees[root[4]]
-            else:
-                _refill(root)
+        item = root[1]
+        if item.__class__ is list:  # a car-pooled node's items
+            items = item
+            item = items.pop()
+            if items:
+                return item, fresh, key
+        if root[2] is None:
+            del trees[root[4]]
+        else:
+            _refill(root)
         return item, fresh, key
 
     def drain(self) -> list:
@@ -149,7 +158,10 @@ class SoftHeap:
         stack = list(self._trees.values())
         while stack:
             _, items, left, right, _ = stack.pop()
-            out.extend(items)
+            if items.__class__ is list:
+                out.extend(items)
+            else:
+                out.append(items)
             if left is not None:
                 stack.append(left)
             if right is not None:
@@ -164,7 +176,7 @@ class SoftHeap:
 
 
 def _refill(x: list) -> None:
-    # Pulls up the list of x's smaller-key child (the left one on a tie)
+    # Pulls up the items of x's smaller-key child (the left one on a tie)
     # and refills that child the same way; a drained leaf is dropped.
     while True:
         y, z = x[2], x[3]
@@ -183,13 +195,20 @@ def _refill(x: list) -> None:
 
 def _car_pool(x: list, fresh: list) -> None:
     # The only step that corrupts: x refills once more, keeping its
-    # residents ahead of the list it pulls up, under its new key.  When the
+    # residents ahead of the items it pulls up, under its new key.  When the
     # key rises, a resident still at the old key was not corrupted before.
+    # Only here does a node's item slot become a list.
     key, items = x[0], x[1]
+    if items.__class__ is not list:
+        items = [items]
     _refill(x)
     if x[0] > key:
         fresh.extend([e for e in items if e[0] == key])
-    items.extend(x[1])
+    pulled = x[1]
+    if pulled.__class__ is list:
+        items.extend(pulled)
+    else:
+        items.append(pulled)
     x[1] = items
 
 

@@ -297,11 +297,25 @@ def _check_piece_cases(container, cases, seed=0):
         a, b, k, alpha, kind = make_piece_case(rng, container)
         where = (container, "pieces", seed, case, kind, (len(a), len(b)), k, alpha)
         before = _snapshot([a, b])
+        sums = [x + y for x in np.asarray(a, dtype=np.float64).tolist()
+                for y in np.asarray(b, dtype=np.float64).tolist()]
         if kind == "overflow":  # refused as the selectors refuse it
             with pytest.raises(ContractViolation, match="overflows float64"):
                 brute_force_select([a, b], k)
             with pytest.raises(ContractViolation, match="overflows float64"):
                 soft_select_pairwise(a, b, k)
+            # a bare node checks its layers instead: it may refuse a layer
+            # past the k smallest sums, but must refuse any that is not finite
+            expected = sorted(sums)[:k]
+            try:
+                node = PairSumNode(LeafGenerator(a, alpha), LeafGenerator(b, alpha), alpha)
+                while node.generated_count < k:
+                    node.generate_next_layer()
+            except ContractViolation as e:
+                assert "overflows float64" in str(e), where
+            else:
+                assert all(math.isfinite(v) for v in expected), ("node", where)
+                _check_values(node.values[:k], expected, ("node", where))
             continue
         expected = brute_force_select([a, b], k).values
         _check_values(soft_select_pairwise(a, b, k), expected, ("pairwise", where))
@@ -312,8 +326,6 @@ def _check_piece_cases(container, cases, seed=0):
         _check_values(node.values[:k], expected, ("node", where))
         # every proposed pair was inserted or parked, once
         assert len(node._debug_cells) == node.soft_heap.insert_count + node.parked_count(), where
-        sums = [x + y for x in np.asarray(a, dtype=np.float64).tolist()
-                for y in np.asarray(b, dtype=np.float64).tolist()]
         assert sorted(select_k_loh(sums, k, alpha)) == expected, ("select_k_loh", where)
         for got, want in zip((a, b), before):
             assert type(got) is type(want) and np.array_equal(got, want), where

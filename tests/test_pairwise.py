@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from cartesian_topk import (ContractViolation, LeafGenerator, PairSumNode, ParameterError,
-                            concatenation_select, soft_select_pairwise, verify_loh)
+                            concatenation_select, fast_soft_tree_select, soft_select_pairwise,
+                            verify_loh)
 from cartesian_topk.loh import LohGenerator
 from cartesian_topk.pairwise import DEFAULT_EPSILON
 
@@ -245,6 +246,19 @@ def test_concat_covers_k_selection():
         assert generated[:k] == want
 
 
+def test_concat_gap_comparison_is_exact():
+    from cartesian_topk.pairwise import _gap_sign
+    # gaps that round to one float: 1e17 - 1 and 1e17
+    assert _gap_sign(-1.0, -1e17, 1e17, 0.0) == -1
+    assert _gap_sign(1e17, 0.0, -1.0, -1e17) == 1
+    # gaps that overflow float64 on both sides: 1.8e308 and 1.81e308
+    assert _gap_sign(0.9e308, -0.9e308, 0.95e308, -0.86e308) == -1
+    assert _gap_sign(0.95e308, -0.86e308, 0.9e308, -0.9e308) == 1
+    # true ties, on any zero point
+    assert _gap_sign(3.0, 1.0, 2.5, 0.5) == 0
+    assert _gap_sign(1e308, -1e308, 1e308, -1e308) == 0
+
+
 def test_concat_generation_bound():
     # about alpha^2 * k values generated in total
     for alpha in (1.1, 1.3):
@@ -323,6 +337,34 @@ def test_node_asymmetric_scales():
     while node.has_more_layers():
         node.generate_next_layer()
     assert sorted(node.values) == full
+
+
+def test_node_gaps_finer_than_float_spacing():
+    # A's gap -1 - (-1e17) and B's 1e17 - 0 round to the same float; the
+    # cover must still see A's as the smaller and grow A, or the -1.0 of
+    # A's second -1 lands in a layer after a 0.0
+    a = [-1e17] * 9 + [-1.0, -1.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0] + [1e17] * 16
+    b = [0.0, 1e17]
+    full = sorted(x + y for x in a for y in b)
+    for alpha in (1.05, 1.1):
+        node = PairSumNode(LeafGenerator(a, alpha), LeafGenerator(b, alpha), alpha)
+        while node.has_more_layers():
+            node.generate_next_layer()
+            assert node.values == full[:node.generated_count], alpha
+        assert fast_soft_tree_select([a, b], 30, alpha=alpha).values == full[:30], alpha
+
+
+def test_node_refuses_layers_past_float64():
+    # the two layers of 1e308 + 1.0 are finite; the last holds 1e308 + 1e308
+    node = PairSumNode(LeafGenerator([1e308, 1e308], 1.5), LeafGenerator([1e308, 1.0], 1.5), 1.5)
+    with pytest.raises(ContractViolation, match="overflows float64"):
+        while node.has_more_layers():
+            node.generate_next_layer()
+    assert node.values == [1e308, 1e308]
+    # a first layer of -inf is refused at once, so no node above it can
+    # meet -inf on one side and inf on the other and make NaN
+    with pytest.raises(ContractViolation, match="overflows float64"):
+        PairSumNode(LeafGenerator([-1e308, 0.0], 1.5), LeafGenerator([-1e308, 1.0], 1.5), 1.5)
 
 
 def test_node_purgatories_actually_park():

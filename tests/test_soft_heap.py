@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import random
 from collections import Counter
@@ -135,17 +136,23 @@ def test_adversarial_interleavings_respect_bound():
 
 def _check_forest(h):
     # each root sits under its own rank; below it keys are heap-ordered and
-    # ranks fall, no node holds an empty list or a right child without a
-    # left one, every item's key is at most its node's key, and the items
-    # in the forest and the pending list add up to len(h)
+    # ranks fall; a node holds one bare (key, payload) item or, only above
+    # the rank cutoff where car-pooling makes them, a nonempty list of
+    # items; no node has a right child without a left one, every item's key
+    # is at most its node's key, and the items in the forest and the
+    # pending list add up to len(h)
     live = len(h._pending)
     for root_rank, root in h._trees.items():
         assert root[4] == root_rank
         stack = [root]
         while stack:
             key, items, left, right, rank = stack.pop()
-            assert items
-            assert all(item[0] <= key for item in items)
+            if type(items) is list:
+                assert items and rank > h._rank_cutoff
+            else:
+                assert type(items) is tuple and len(items) == 2
+                items = [items]
+            assert all(type(item) is tuple and item[0] <= key for item in items)
             live += len(items)
             assert left is not None or right is None
             for child in (left, right):
@@ -179,6 +186,27 @@ def test_forest_invariants_after_every_operation(eps, seed, burst_steps, insert_
         _check_forest(h)
     if eps == 0.25:
         assert h.corrupted_count > 0  # the trace reaches the corrupting step
+
+
+def test_live_items_hold_few_tracked_objects():
+    # each settled item costs its tuple and about one node list: a lone
+    # item sits in its node without a list of its own.  Counts objects the
+    # collector tracks, with automatic collection paused so none is freed.
+    rng = random.Random(18)
+    keys = [rng.random() for _ in range(4096)]
+    h = SoftHeap(0.25)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        for x in keys:
+            h.insert(x)
+        h.extract_min()
+        grown = len(gc.get_objects()) - before
+    finally:
+        if enabled:
+            gc.enable()
+    assert grown / len(h) <= 2.2
 
 
 def _tie_heavy_trace(eps, seed, steps):
