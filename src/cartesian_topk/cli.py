@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 usage error, unwritable output or a run that
 runs out of memory, 2 input parse error or unreadable input file, 3
-oracle validation failure.  Each error prints one stderr line, never a
-traceback.
+oracle validation failure, 130 a run interrupted (``KeyboardInterrupt``,
+as from Ctrl-C).  Each error prints one stderr line, never a traceback.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
+EXIT_INTERRUPTED = 130  # the shell's code for a process ended by SIGINT
 
 # The BenchConfig fields that flags set, all but the guard; a flag not given is None.
 _SETTINGS = [f for f in fields(BenchConfig) if f.default is not MISSING]
@@ -112,12 +113,20 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"usage error: {exc}", file=sys.stderr)
                 return EXIT_USAGE
             except MemoryError:
-                print("memory error: the run needs more memory than is available; "
-                      "lower --k, --m or --n", file=sys.stderr)
-                return EXIT_USAGE
-            out.write(render_csv(rows))
+                # Reported below: leaving this block frees the run's frames,
+                # which the live traceback holds here, before anything prints.
+                rows = None
+            except KeyboardInterrupt:
+                print("interrupted", file=sys.stderr)
+                return EXIT_INTERRUPTED
+            if rows is not None:
+                out.write(render_csv(rows))
     except OSError as exc:
         print(f"output error: {path or 'stdout'}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_USAGE
+    if rows is None:
+        print("memory error: the run needs more memory than is available; "
+              "lower --k, --m or --n", file=sys.stderr)
         return EXIT_USAGE
 
     failed = [row for row in rows if row["validated"] == "fail"]

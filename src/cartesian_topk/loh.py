@@ -42,7 +42,11 @@ class LayerSchedule:
     only as far as a layer or position asked about, so ``n`` may be far
     beyond what a float can hold.  ``child_positions`` keeps each answer,
     which depends on the position alone, in a dict filled as positions are
-    first asked.
+    first asked.  Every total and answer depends on (alpha, n) alone, so
+    generators of one size can share a schedule: ``fast_soft_tree_select``
+    builds one per node size per call and hands it to every node of that
+    size (``schedule_for``).  Filling a schedule changes its lists, so a
+    schedule is shared only within one call.
     """
 
     __slots__ = ("alpha", "n", "_totals", "_kids")
@@ -69,7 +73,8 @@ class LayerSchedule:
 
     def total(self, i: int) -> int:
         """Cumulative item count through layer i, truncated to n."""
-        self._check_layer(i)
+        if not 0 < i <= len(self._totals):
+            self._check_layer(i)
         return min(self._totals[i - 1], self.n)
 
     def size(self, i: int) -> int:
@@ -122,6 +127,20 @@ class LayerSchedule:
         while (len(totals) < i or t < pos) and t < self.n:
             t = max(t + 1, math.ceil(self.alpha * t))
             totals.append(t)
+
+
+def schedule_for(alpha: float, n: int, schedule: LayerSchedule | None = None) -> LayerSchedule:
+    """``schedule`` if it is a schedule for (alpha, n), a new one if it is None.
+
+    A generator of n items at rank alpha takes its layers from this, so a
+    caller may share one schedule among generators of one size; a schedule
+    for another alpha or n raises ``ContractViolation``.
+    """
+    if schedule is None:
+        return LayerSchedule(alpha, n)
+    if not (isinstance(schedule, LayerSchedule) and schedule.alpha == alpha and schedule.n == n):
+        raise ContractViolation(f"schedule is not a LayerSchedule for alpha={alpha!r}, n={n}")
+    return schedule
 
 
 def children_of(schedule: LayerSchedule, i: int, j: int) -> tuple[int, ...]:
@@ -309,17 +328,20 @@ class LeafGenerator(LohGenerator):
     to the caller's sequence never reach it.
     Each layer is the next ``schedule.size(i)`` values of the prefix, so
     the generated prefix is sorted, a valid layer order at any alpha.
+    ``schedule``, when given, is the leaf's layer schedule, shared with
+    other generators of its size (``schedule_for``).
     The constructor makes the first layer.
     """
 
     __slots__ = ("_axis",)
 
-    def __init__(self, values: Sequence[float] | AscendingPrefix, alpha: float):
+    def __init__(self, values: Sequence[float] | AscendingPrefix, alpha: float, *,
+                 schedule: LayerSchedule | None = None):
         if not isinstance(values, AscendingPrefix):
             values = checked_axis(values, "values")
             require_finite(values, "values")
             values = AscendingPrefix(values.copy())
-        super().__init__(LayerSchedule(alpha, values.n))
+        super().__init__(schedule_for(alpha, values.n, schedule))
         self._axis = values
         self.generate_next_layer()
 

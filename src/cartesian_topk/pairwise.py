@@ -24,12 +24,13 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import ContractViolation
-from .loh import LayerSchedule, LohGenerator
+from .loh import LayerSchedule, LohGenerator, schedule_for
 from .select1d import (checked_axis, checked_k, require_finite, require_summable, select_k,
                        split_smallest)
 from .soft_heap import SoftHeap, pop_and_pool
 
 DEFAULT_EPSILON = 0.25
+_OVERFLOW = "a pair-sum node's layer overflows float64"
 
 
 def soft_select_pairwise(a: Sequence[float], b: Sequence[float], k: int, *,
@@ -172,17 +173,27 @@ class PairSumNode(LohGenerator):
     layer, not per pair.  A layer is ascending, so every layer a node
     returns is finite, and with finite children no sum is NaN.  The
     selectors refuse such inputs earlier, at their boundary
-    (``select1d.require_summable``).
+    (``select1d.require_summable``).  The refusal comes after the layer's
+    pops, so a node that refused a layer is spent: every later
+    ``generate_next_layer()`` raises the same ``ContractViolation``.
+
+    ``schedule``, when given, is the node's layer schedule, shared with
+    other generators of its size (``loh.schedule_for``).
     """
 
     __slots__ = ("left", "right", "soft_heap", "purgatory_a", "purgatory_b",
-                 "carryover", "_seen_a", "_seen_b", "pops_total", "_debug_cells")
+                 "carryover", "_seen_a", "_seen_b", "pops_total", "_debug_cells",
+                 "_left_kids", "_right_kids", "_refused")
 
     def __init__(self, left: LohGenerator, right: LohGenerator, alpha: float,
-                 debug_accounting: bool = False):
-        super().__init__(LayerSchedule(alpha, left.total_size * right.total_size))
+                 debug_accounting: bool = False, *, schedule: LayerSchedule | None = None):
+        super().__init__(schedule_for(alpha, left.total_size * right.total_size, schedule))
         self.left = left
         self.right = right
+        # Bound once: _settle maps positions through them for every settled pair.
+        self._left_kids = left.schedule.child_positions
+        self._right_kids = right.schedule.child_positions
+        self._refused = False
         self.soft_heap = SoftHeap(DEFAULT_EPSILON)
         self.purgatory_a: list[tuple[int, int]] = []
         self.purgatory_b: list[tuple[int, int]] = []
@@ -196,6 +207,8 @@ class PairSumNode(LohGenerator):
         self.generate_next_layer()
 
     def _next_layer(self, end: int) -> list:
+        if self._refused:
+            raise ContractViolation(_OVERFLOW)
         # Child prefixes must cover a (k'+1)-selection on A|B, compared on
         # a common zero point, for the k'-selection on A+B to be realizable.
         concatenation_select(self.left, self.right, end + 1,
@@ -205,7 +218,8 @@ class PairSumNode(LohGenerator):
         self.pops_total += pop_and_pool(self.soft_heap, layer_size, self.carryover, self._settle)
         layer, self.carryover = split_smallest(self.carryover, layer_size)
         if not (math.isfinite(layer[0]) and math.isfinite(layer[-1])):
-            raise ContractViolation("a pair-sum node's layer overflows float64")
+            self._refused = True
+            raise ContractViolation(_OVERFLOW)
         return layer
 
     # -- internals -------------------------------------------------------------
@@ -216,9 +230,9 @@ class PairSumNode(LohGenerator):
         # debug_accounting routes it through _propose's check first.
         admit = self._admit if self._debug_cells is None else self._propose
         if ib == 1:
-            for ca in self.left.schedule.child_positions(ia):
+            for ca in self._left_kids(ia):
                 admit(ca, 1)
-        for cb in self.right.schedule.child_positions(ib):
+        for cb in self._right_kids(ib):
             admit(ia, cb)
 
     def _propose(self, ia: int, ib: int) -> None:
@@ -231,12 +245,13 @@ class PairSumNode(LohGenerator):
 
     def _admit(self, ia: int, ib: int) -> None:
         # Routes a pair to the soft heap or the purgatory of the side blocking it.
-        if ia > self.left.generated_count:
+        left, right = self.left, self.right
+        if ia > left.generated_count:
             self.purgatory_a.append((ia, ib))
-        elif ib > self.right.generated_count:
+        elif ib > right.generated_count:
             self.purgatory_b.append((ia, ib))
         else:
-            self.soft_heap.insert(self.left.values[ia - 1] + self.right.values[ib - 1], (ia, ib))
+            self.soft_heap.insert(left.values[ia - 1] + right.values[ib - 1], (ia, ib))
 
     def _flush_purgatories(self) -> None:
         # A-parked pairs are reconsidered only when A has grown, likewise B.

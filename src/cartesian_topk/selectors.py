@@ -38,7 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ContractViolation, GuardError, ParameterError
-from .loh import LeafGenerator, LohGenerator
+from .loh import LayerSchedule, LeafGenerator, LohGenerator
 from .pairwise import PairSumNode, soft_select_pairwise
 from .select1d import (AscendingPrefix, checked_axis, checked_k, require_finite,
                        require_summable, select_k)
@@ -542,13 +542,23 @@ def fast_soft_tree_select(arrays: Sequence[Sequence[float]], k: int, *,
     above it.  The root generates ascending layers until it holds k
     values; the answer is its ascending prefix of k.  ``LayerSchedule``
     refuses a non-real alpha, or one outside (1, 2), with ``ParameterError``.
+    Nodes of one size share one ``LayerSchedule``, built by this call and
+    dropped with it.
     """
     axes, k = _validated(arrays, k, stats)
     m = len(axes)
     tree = _Tree(m)
-    nodes: list[LohGenerator] = [LeafGenerator(a, alpha) for a in axes]
+    schedules: dict[int, LayerSchedule] = {}  # node size -> its schedule
+
+    def schedule(n: int) -> LayerSchedule:
+        if n not in schedules:
+            schedules[n] = LayerSchedule(alpha, n)
+        return schedules[n]
+
+    nodes: list[LohGenerator] = [LeafGenerator(a, alpha, schedule=schedule(a.n)) for a in axes]
     for left, right in tree.ops:
-        nodes.append(PairSumNode(nodes[left], nodes[right], alpha))
+        a, b = nodes[left], nodes[right]
+        nodes.append(PairSumNode(a, b, alpha, schedule=schedule(a.total_size * b.total_size)))
     root = nodes[-1]
     while root.generated_count < k:
         root.generate_next_layer()

@@ -556,6 +556,16 @@ def test_cli_memory_error_is_one_line(monkeypatch, capsys):
     assert len(err) == 1 and err[0].startswith("memory error:")
 
 
+def test_cli_interrupt_is_one_line(monkeypatch, capsys):
+    def interrupted(config):
+        raise KeyboardInterrupt
+    monkeypatch.setattr("cartesian_topk.cli.run", interrupted)
+    assert main(["--algorithm", "sort-tree", "--m", "2", "--n", "4", "--k", "3"]) == 130
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["interrupted"]
+
+
 def test_cli_out_of_address_space_prints_no_traceback():
     # a real MemoryError: the child caps its own address space at 256 MiB,
     # then runs the CLI, whose sort-tree run outgrows it building k outputs

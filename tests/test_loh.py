@@ -46,6 +46,25 @@ def test_schedule_alpha_validation():
         LayerSchedule(1.5, 0)
 
 
+def test_generators_refuse_a_schedule_for_another_size_or_alpha():
+    a, b = [3.0, 1.0, 2.0], [5.0, 4.0]
+    for bad in (LayerSchedule(1.5, 4), LayerSchedule(1.3, 3), "schedule"):
+        with pytest.raises(ContractViolation, match="not a LayerSchedule for alpha=1.5, n=3"):
+            LeafGenerator(a, 1.5, schedule=bad)
+    for bad in (LayerSchedule(1.5, 5), LayerSchedule(1.3, 6)):
+        with pytest.raises(ContractViolation, match="not a LayerSchedule for alpha=1.5, n=6"):
+            PairSumNode(LeafGenerator(a, 1.5), LeafGenerator(b, 1.5), 1.5, schedule=bad)
+    # a matching schedule is taken as it is, and layers as a node's own does
+    shared = LayerSchedule(1.5, 6)
+    node = PairSumNode(LeafGenerator(a, 1.5), LeafGenerator(b, 1.5), 1.5, schedule=shared)
+    own = PairSumNode(LeafGenerator(a, 1.5), LeafGenerator(b, 1.5), 1.5)
+    assert node.schedule is shared
+    while node.has_more_layers():
+        node.generate_next_layer()
+        own.generate_next_layer()
+        assert node.values == own.values and node.layer_count == own.layer_count
+
+
 def test_schedule_growth_bounds():
     # full layers: c_i <= c_{i+1} <= 2 c_i, for every alpha up to n = 10^6
     for alpha in ALPHA_GRID:

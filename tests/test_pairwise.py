@@ -367,6 +367,20 @@ def test_node_refuses_layers_past_float64():
         PairSumNode(LeafGenerator([-1e308, 0.0], 1.5), LeafGenerator([-1e308, 1.0], 1.5), 1.5)
 
 
+def test_node_that_refused_a_layer_refuses_every_later_one():
+    # the 5th layer holds 1e308 + 1e308; the node has popped its soft heap
+    # for it, so each later call raises the same refusal, not another error
+    node = PairSumNode(LeafGenerator([1e308, 1e308, 5.0], 1.5),
+                       LeafGenerator([1e308, 1.0, 2.0], 1.5), 1.5)
+    for _ in range(3):
+        node.generate_next_layer()
+    assert node.values == [6.0, 7.0, 1e308, 1e308, 1e308]
+    for _ in range(3):
+        with pytest.raises(ContractViolation, match="^a pair-sum node's layer overflows float64$"):
+            node.generate_next_layer()
+        assert node.values == [6.0, 7.0, 1e308, 1e308, 1e308] and node.layer_count == 4
+
+
 def test_node_purgatories_actually_park():
     rng = random.Random(37)
     a = [rng.random() for _ in range(200)]

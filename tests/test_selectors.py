@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import re
+import threading
 import tracemalloc
 
 import numpy as np
@@ -559,6 +560,58 @@ def test_fast_soft_tree_answer_is_the_root_prefix(monkeypatch):
         for alpha in (1.05, 1.1, 1.5):
             got = fast_soft_tree_select(arrays, k, alpha=alpha).values
             assert got == brute_force_select(arrays, k).values, (arrays, k, alpha)
+
+
+def test_fast_nodes_of_one_size_share_one_schedule_per_call(monkeypatch):
+    # the paper's shape at small n: 64 leaves of 8 values, 7 node sizes
+    import cartesian_topk.selectors as sel
+    from cartesian_topk.bench import generate_inputs
+
+    made: list = []
+
+    def recording(cls):
+        def make(*args, **kwargs):
+            made.append(cls(*args, **kwargs))
+            return made[-1]
+        return make
+
+    monkeypatch.setattr(sel, "LeafGenerator", recording(LeafGenerator))
+    monkeypatch.setattr(sel, "PairSumNode", recording(PairSumNode))
+    arrays = generate_inputs("exponential", 64, 8, seed=1)
+    calls = []
+    for _ in range(2):
+        made.clear()
+        assert fast_soft_tree_select(arrays, 64).values == sort_tree_select(arrays, 64).values
+        assert len(made) == 127
+        by_size: dict = {}
+        for node in made:
+            by_size.setdefault(node.total_size, []).append(node.schedule)
+        assert sorted(by_size) == [8 ** 2 ** d for d in range(7)]
+        for size, schedules in by_size.items():
+            assert all(s is schedules[0] for s in schedules), size
+        calls.append([schedules[0] for schedules in by_size.values()])
+    assert not any(s is t for s in calls[0] for t in calls[1])
+
+
+def test_fast_two_threads_at_once_match_the_oracle():
+    # each call's schedules are its own, so concurrent calls do not meet
+    rng = np.random.Generator(np.random.PCG64(17))
+    inputs = [[row.tolist() for row in rng.random((4, 12))] for _ in range(2)]
+    expected = [brute_force_select(arrays, 300).values for arrays in inputs]
+    start = threading.Barrier(2)
+    got: list = [[], []]
+
+    def work(t):
+        start.wait()
+        for _ in range(5):
+            got[t].append(fast_soft_tree_select(inputs[t], 300, alpha=1.05).values)
+
+    threads = [threading.Thread(target=work, args=(t,)) for t in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert got == [[expected[0]] * 5, [expected[1]] * 5]
 
 
 def test_agreement_duplicate_heavy():
